@@ -136,6 +136,22 @@ def _materialize(source: dict) -> Instance:
                          metric_closure=source["metric_closure"])
 
 
+def run_solver(inst: Instance, spec: SolverSpec, time_limit: float,
+               tie_break: str = "deep", tour=None):
+    """Run the solver a parsed token names. tie_break applies to rpt and
+    tour (a precomputed visiting order) to blind; others ignore them."""
+    if spec.kind == "rpt":
+        return solve(inst, SolverConfig(epsilon=spec.epsilon,
+                                        use_heuristic=spec.use_heuristic,
+                                        time_limit=time_limit,
+                                        tie_break=tie_break))
+    if spec.kind == "greedy":
+        return greedy_solve(inst)
+    if spec.kind == "blind":
+        return blind_hpp_solve(inst, tour=tour)
+    return oracle_solve(inst)
+
+
 def _run_one(job: dict) -> dict:
     source = job["source"]
     spec = parse_solver(job["solver"])
@@ -147,17 +163,7 @@ def _run_one(job: dict) -> dict:
         "expansions": 0, "prunes": 0, "wall_time": 0.0,
     }
     try:
-        inst = _materialize(source)
-        if spec.kind == "rpt":
-            res = solve(inst, SolverConfig(epsilon=spec.epsilon,
-                                           use_heuristic=spec.use_heuristic,
-                                           time_limit=job["time_limit"]))
-        elif spec.kind == "greedy":
-            res = greedy_solve(inst)
-        elif spec.kind == "blind":
-            res = blind_hpp_solve(inst)
-        else:
-            res = oracle_solve(inst)
+        res = run_solver(_materialize(source), spec, job["time_limit"])
     except Exception:
         return row
     row["status"] = res.status

@@ -9,7 +9,6 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
-from .baselines import blind_hpp_solve, greedy_solve, oracle_solve
 from .bench import BenchConfigError, parse_sizes, parse_solver
 from .exploration import (ExploreConfig, PriorField, forest_world,
                           run_exploration, sample_start, with_start)
@@ -21,7 +20,7 @@ from .instance import (Instance, InvalidInstanceError, InvalidPathError,
                        MetricViolationError)
 from .lifelong import (PLANNERS, GroundTruth, MissionConfig, SensorModel,
                        run_mission)
-from .solver import DEFAULT_TIME_LIMIT, InvalidConfigError, SolverConfig, solve
+from .solver import DEFAULT_TIME_LIMIT, InvalidConfigError
 
 TIME_LIMIT_ENV = "HPPPT_TIME_LIMIT_SECS"
 
@@ -31,18 +30,11 @@ CONFIG_ERRORS = (BenchConfigError, FormatError, UnsupportedFormatError,
                  ValueError, OSError)
 
 
-def _common_flags() -> argparse.ArgumentParser:
+def _flag(*names, **kwargs) -> argparse.ArgumentParser:
+    """Parent parser holding one flag; each subcommand lists the flags it
+    reads, so a flag it would ignore is rejected by argparse."""
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--seed", type=int, default=0,
-                   help="base seed for all derived randomness (default 0)")
-    p.add_argument("--time-limit", type=float, default=None, metavar="SECS",
-                   help=f"per-solve limit; falls back to ${TIME_LIMIT_ENV} "
-                        "then 60")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for grids (default: logical cores)")
-    p.add_argument("--out", default=None,
-                   help="output file (solve, bench) or directory "
-                        "(gen, lifelong, explore)")
+    p.add_argument(*names, **kwargs)
     return p
 
 
@@ -86,38 +78,18 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     time_limit = resolve_time_limit(args.time_limit)
     spec = parse_solver(args.solver)
-    eps = spec.epsilon
-    heur = spec.use_heuristic
-    if args.eps is not None:
-        if spec.kind != "rpt":
-            raise BenchConfigError(f"--eps does not apply to {spec.kind}")
-        if args.eps < 0:
-            raise BenchConfigError("--eps must be >= 0")
-        eps = args.eps
-    if args.no_heuristic:
-        if spec.kind != "rpt":
-            raise BenchConfigError(
-                f"--no-heuristic does not apply to {spec.kind}")
-        heur = False
+    if args.tie_break is not None and spec.kind != "rpt":
+        raise BenchConfigError(f"--tie-break does not apply to {spec.kind}")
+    if args.tour_file is not None and spec.kind != "blind":
+        raise BenchConfigError(f"--tour-file does not apply to {spec.kind}")
     inst = load_instance(args.instance, metric_closure=args.metric_closure)
-    if spec.kind == "rpt":
-        res = solve(inst, SolverConfig(epsilon=eps, use_heuristic=heur,
-                                       time_limit=time_limit,
-                                       tie_break=args.tie_break))
-        token = ("rpt" if heur else "rpt-noh") + (f":{eps:g}" if eps else "")
-    elif spec.kind == "greedy":
-        res = greedy_solve(inst)
-        token = "greedy"
-    elif spec.kind == "blind":
-        tour = read_tour(args.tour_file, inst) if args.tour_file else None
-        res = blind_hpp_solve(inst, tour=tour)
-        token = "blind"
-    else:
-        res = oracle_solve(inst)
-        token = "oracle"
+    tour = read_tour(args.tour_file, inst) if args.tour_file else None
+    res = bench_mod.run_solver(inst, spec, time_limit,
+                               tie_break=args.tie_break or "deep", tour=tour)
     name = inst.name or os.path.splitext(os.path.basename(args.instance))[0]
     record = {
-        "instance": name, "n": inst.n, "solver": token, "status": res.status,
+        "instance": name, "n": inst.n, "solver": spec.token,
+        "status": res.status,
         "cost": res.cost, "path": list(res.path) if res.path else None,
         "expansions": res.stats.expansions,
         "generations": res.stats.generations,
@@ -186,6 +158,7 @@ def _parse_targets(text: str, n: int, seed: int) -> list:
 
 
 def cmd_lifelong(args) -> int:
+    time_limit = resolve_time_limit(args.time_limit)
     if not (0.0 < args.init_belief < 1.0):
         raise BenchConfigError("--init-belief must lie in (0, 1)")
     if args.instance:
@@ -210,7 +183,8 @@ def cmd_lifelong(args) -> int:
         for trial in range(args.trials):
             cfg = MissionConfig(planner=planner, seed=args.seed + trial,
                                 p_high=args.p_high, p_low=args.p_low,
-                                max_steps=args.max_steps)
+                                max_steps=args.max_steps,
+                                plan_time_limit=time_limit)
             log = run_mission(inst, truth, sensor, cfg)
             labels = ";".join(c or "undecided" for c in log.classification)
             w.write(f"{planner},{cfg.seed},{log.status},{log.duration:.12g},"
@@ -278,7 +252,17 @@ def cmd_explore(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
+    seed = _flag("--seed", type=int, default=0,
+                 help="base seed for all derived randomness (default 0)")
+    time_limit = _flag("--time-limit", type=float, default=None,
+                       metavar="SECS",
+                       help=f"per-solve limit; falls back to "
+                            f"${TIME_LIMIT_ENV} then 60")
+    jobs = _flag("--jobs", type=int, default=None,
+                 help="worker processes for grids (default: logical cores)")
+    out = _flag("--out", default=None,
+                help="output file (solve, bench) or directory "
+                     "(gen, lifelong, explore)")
     p = argparse.ArgumentParser(
         prog="hpppt",
         description="Expected-cost path solver over graphs with "
@@ -286,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "simulation harnesses.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", parents=[common],
+    g = sub.add_parser("gen", parents=[seed, out],
                        help="write seeded random .hpt instance files")
     g.add_argument("--sizes", required=True,
                    help="vertex counts: 'a..b:step' or comma list")
@@ -296,23 +280,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="probability upper bound (default 0.9)")
     g.set_defaults(func=cmd_gen)
 
-    s = sub.add_parser("solve", parents=[common],
+    s = sub.add_parser("solve", parents=[time_limit, out],
                        help="solve one instance, print a JSON record")
     s.add_argument("instance", help=".hpt or TSPLIB file")
     s.add_argument("--solver", default="rpt",
                    help="rpt[-noh][:EPS], greedy, blind or oracle")
-    s.add_argument("--eps", type=float, default=None,
-                   help="suboptimality bound for rpt")
-    s.add_argument("--no-heuristic", action="store_true",
-                   help="run rpt with the heuristic disabled")
-    s.add_argument("--tie-break", choices=("deep", "fifo"), default="deep")
+    s.add_argument("--tie-break", choices=("deep", "fifo"), default=None,
+                   help="rpt only: order of equal-f states (default deep)")
     s.add_argument("--metric-closure", action="store_true",
                    help="repair triangle-inequality violations on load")
     s.add_argument("--tour-file", default=None,
-                   help="precomputed visiting order for the blind baseline")
+                   help="blind only: precomputed visiting order")
     s.set_defaults(func=cmd_solve)
 
-    b = sub.add_parser("bench", parents=[common],
+    b = sub.add_parser("bench", parents=[seed, time_limit, jobs, out],
                        help="run a solver grid, emit CSV plus a summary")
     b.add_argument("instances", nargs="*",
                    help="instance files; omit to generate via --sizes")
@@ -328,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--metric-closure", action="store_true")
     b.set_defaults(func=cmd_bench)
 
-    m = sub.add_parser("lifelong", parents=[common],
+    m = sub.add_parser("lifelong", parents=[seed, time_limit, out],
                        help="run Bayesian target-search missions")
     m.add_argument("instance", nargs="?", default=None,
                    help="travel-cost instance; omit to generate --n vertices")
@@ -350,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--max-steps", type=int, default=10_000)
     m.set_defaults(func=cmd_lifelong)
 
-    e = sub.add_parser("explore", parents=[common],
+    e = sub.add_parser("explore", parents=[seed, time_limit, out],
                        help="run frontier-exploration simulations")
     e.add_argument("worlds", nargs="*",
                    help="world map files (with optional <map>.json sidecar)")

@@ -12,7 +12,7 @@ disappears or the frontier set shifts substantially.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from .grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, WorldModel,
                    extract_frontiers, grid_distances, reveal,
                    shortest_path_cells)
 from .instance import Instance
-from .solver import SolverConfig, solve
+from .lifelong import PLANNERS
+from .solver import DEFAULT_TIME_LIMIT, SolverConfig, solve
 
 PROB_CLAMP = 1.0 - 1e-9
 
@@ -90,7 +91,7 @@ class ExploreConfig:
     focal_eps: float = 0.01
     max_steps: int = 20_000
     replan_delta: float = 0.2
-    plan_time_limit: float | None = 60.0
+    plan_time_limit: float | None = DEFAULT_TIME_LIMIT
 
 
 def phi_unknown(grid: OccupancyGrid, cell, window: int = 5) -> float:
@@ -279,12 +280,10 @@ def _plan_goal(inst: Instance, vertex_cells, planner: str,
         res = greedy_solve(inst)
     elif planner == "blind":
         res = blind_hpp_solve(inst)
-    elif planner == "rpt":
+    else:
         eps = cfg.focal_eps if inst.n > cfg.vertex_cap else 0.0
         res = solve(inst, SolverConfig(epsilon=eps,
                                        time_limit=cfg.plan_time_limit))
-    else:
-        raise ValueError(f"unknown planner {planner!r}")
     if res.status != "ok":
         return None
     return vertex_cells[res.path[1]]
@@ -343,6 +342,8 @@ def run_exploration(world: WorldModel, prior: PriorField, planner: str,
     the target cell revealed, the reachable map is exhausted, or the step
     cap is hit. Deterministic for fixed inputs; seed is recorded in the
     log (trial variation comes from the world, e.g. the start cell)."""
+    if planner not in PLANNERS:
+        raise ValueError(f"unknown planner {planner!r}")
     if cfg is None:
         cfg = ExploreConfig()
     grid = OccupancyGrid.all_unknown(world.truth.shape, world.truth.resolution)
@@ -451,21 +452,14 @@ def forest_world(size: int = 100, n_trees: int = 90, seed: int = 0,
         labels[rob] = FREE
         world = WorldModel(OccupancyGrid(labels, resolution), tgt, rob,
                            sensor_radius=sensor_radius)
-        if shortest_path_cells_truth(world, rob, tgt):
+        if shortest_path_cells(world.truth, rob, tgt):
             return world
     raise RuntimeError("could not generate a connected forest world")
 
 
-def shortest_path_cells_truth(world: WorldModel, src, dst):
-    """Shortest path over the ground-truth free space (for world checks)."""
-    return shortest_path_cells(world.truth, src, dst)
-
-
 def with_start(world: WorldModel, robot) -> WorldModel:
-    if world.truth.label(robot) != FREE:
-        raise ValueError(f"start cell {robot} is not free")
-    return WorldModel(world.truth, world.target, tuple(robot), world.heading,
-                      world.sensor_radius, world.fov)
+    """The same world with another start cell, which must be free."""
+    return replace(world, robot=tuple(robot))
 
 
 def sample_start(world: WorldModel, seed: int, radius: float = 8.0) -> tuple:
@@ -478,6 +472,6 @@ def sample_start(world: WorldModel, seed: int, radius: float = 8.0) -> tuple:
         return tuple(world.robot)
     pick = near[int(rng.integers(len(near)))]
     cell = (int(pick[0]), int(pick[1]))
-    if shortest_path_cells_truth(world, cell, world.target) is None:
+    if shortest_path_cells(world.truth, cell, world.target) is None:
         return tuple(world.robot)
     return cell

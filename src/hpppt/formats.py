@@ -18,7 +18,8 @@ import os
 
 import numpy as np
 
-from .instance import Instance, InvalidPathError, check_path, is_metric
+from .instance import (Instance, InvalidPathError, check_path,
+                       euclidean_costs, require_metric)
 from .instance import metric_closure as _closure
 
 
@@ -40,12 +41,9 @@ def write_hpt(inst: Instance) -> str:
     if inst.seed is not None:
         lines.append(f"SEED {inst.seed}")
     lines.append("PROB " + " ".join(_fmt(p) for p in inst.prob))
-    use_coords = False
-    if inst.coords is not None:
-        delta = inst.coords[:, None, :] - inst.coords[None, :, :]
-        derived = np.sqrt((delta ** 2).sum(axis=2))
-        use_coords = np.array_equal(derived, inst.cost)
-    if use_coords:
+    # COORDS only when parse_hpt would derive exactly these costs again
+    if inst.coords is not None and np.array_equal(
+            euclidean_costs(inst.coords), inst.cost):
         lines.append("COORDS")
         for x, y in inst.coords:
             lines.append(f"{_fmt(x)} {_fmt(y)}")
@@ -161,8 +159,7 @@ def parse_hpt(text: str) -> Instance:
     if prob is None:
         raise FormatError("missing PROB record")
     if coords is not None:
-        delta = coords[:, None, :] - coords[None, :, :]
-        cost = np.sqrt((delta ** 2).sum(axis=2))
+        cost = euclidean_costs(coords)
     elif matrix is not None:
         cost = matrix
     else:
@@ -295,9 +292,7 @@ def load_instance(path, metric_closure: bool = False) -> Instance:
         inst = parse_hpt(text)
     if metric_closure:
         return _closure(inst)
-    if not is_metric(inst):
-        from .instance import require_metric
-        require_metric(inst)
+    require_metric(inst)
     return inst
 
 

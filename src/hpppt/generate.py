@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .instance import Instance
+from .instance import Instance, euclidean_costs
 
 
 class GenerationError(RuntimeError):
@@ -57,8 +57,7 @@ def generate_random(n: int, extent: float | None = None, min_sep: float = 5.0,
         if ok:
             pts.append(p)
     coords = np.array(pts)
-    delta = coords[:, None, :] - coords[None, :, :]
-    cost = np.sqrt((delta ** 2).sum(axis=2))
+    cost = euclidean_costs(coords)
     name = f"rand-n{n}-s{seed}"
     return Instance(cost, np.zeros(n), 0, name, coords, seed)
 

@@ -63,9 +63,7 @@ class WorldModel:
     truth: OccupancyGrid
     target: tuple
     robot: tuple
-    heading: float = 0.0
     sensor_radius: float = 10.0  # meters
-    fov: float = 2.0 * math.pi
 
     def __post_init__(self):
         labels = self.truth.labels
@@ -124,7 +122,9 @@ def world_to_text(world: WorldModel) -> str:
 def load_world(map_path, config_path=None):
     """Load a world map plus its sidecar JSON config. The sidecar (default
     <map>.json) holds resolution, sensor radius, the Gaussian prior list
-    and factor weights. Returns (WorldModel, sidecar dict)."""
+    and factor weights. The sensor sees a full circle, so a sidecar
+    heading, or a fov other than 2*pi, is rejected. Returns (WorldModel,
+    sidecar dict)."""
     with open(map_path) as fh:
         labels, target, robot = parse_world(fh.read())
     if config_path is None:
@@ -137,14 +137,16 @@ def load_world(map_path, config_path=None):
         pass
     except json.JSONDecodeError as exc:
         raise WorldFormatError(f"bad sidecar config: {exc}") from None
+    if "heading" in cfg or cfg.get("fov", 2.0 * math.pi) != 2.0 * math.pi:
+        raise WorldFormatError(
+            "sidecar heading and fov are not supported: the sensor sees a "
+            "full circle (fov 2*pi)")
     res = float(cfg.get("resolution", 1.0))
     world = WorldModel(
         truth=OccupancyGrid(labels, res),
         target=target,
         robot=robot,
-        heading=float(cfg.get("heading", 0.0)),
         sensor_radius=float(cfg.get("sensor_radius", 10.0)),
-        fov=float(cfg.get("fov", 2.0 * math.pi)),
     )
     return world, cfg
 
@@ -155,7 +157,6 @@ def save_world(world: WorldModel, map_path, sidecar: dict | None = None):
     cfg = dict(sidecar or {})
     cfg.setdefault("resolution", world.truth.resolution)
     cfg.setdefault("sensor_radius", world.sensor_radius)
-    cfg.setdefault("fov", world.fov)
     with open(str(map_path) + ".json", "w") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -8,6 +8,8 @@ is still alive when the edge is taken.
 
 import numpy as np
 
+METRIC_REL_TOL = 1e-9
+
 
 class InvalidInstanceError(ValueError):
     pass
@@ -155,6 +157,20 @@ def expected_cost_q(inst: Instance, order) -> float:
     return float(g)
 
 
+def euclidean_costs(coords) -> np.ndarray:
+    """Pairwise Euclidean distances between (n, 2) planar coordinates."""
+    delta = coords[:, None, :] - coords[None, :, :]
+    return np.sqrt((delta ** 2).sum(axis=2))
+
+
+def _relay_costs(cost) -> np.ndarray:
+    """Cheapest relay-path cost between every pair (Floyd-Warshall)."""
+    d = np.array(cost)
+    for k in range(len(d)):
+        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    return d
+
+
 def metric_closure(inst: Instance) -> Instance:
     """Replace each cost with the cheapest relay path (Floyd-Warshall).
 
@@ -162,32 +178,30 @@ def metric_closure(inst: Instance) -> Instance:
     Coordinates are dropped when the closure changed any entry, since they
     would no longer describe the costs.
     """
-    d = np.array(inst.cost)
-    n = inst.n
-    for k in range(n):
-        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    d = _relay_costs(inst.cost)
     coords = inst.coords if np.array_equal(d, inst.cost) else None
     return Instance(d, inst.prob, inst.start, inst.name, coords, inst.seed)
 
 
 def max_metric_violation(inst: Instance) -> float:
     """Largest amount by which any cost exceeds its relay shortcut."""
-    d = np.array(inst.cost)
-    n = inst.n
-    for k in range(n):
-        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
-    return float(np.max(inst.cost - d))
+    return float(np.max(inst.cost - _relay_costs(inst.cost)))
 
 
-def is_metric(inst: Instance, rel_tol: float = 1e-9) -> bool:
-    scale = max(1.0, float(np.max(inst.cost)))
-    return max_metric_violation(inst) <= rel_tol * scale
-
-
-def require_metric(inst: Instance, rel_tol: float = 1e-9) -> None:
+def require_metric(inst: Instance, rel_tol: float = METRIC_REL_TOL) -> None:
+    """Raise MetricViolationError when some cost exceeds its relay
+    shortcut by more than rel_tol times the largest cost (at least 1)."""
     scale = max(1.0, float(np.max(inst.cost)))
     gap = max_metric_violation(inst)
     if gap > rel_tol * scale:
         raise MetricViolationError(
             f"triangle inequality violated by up to {gap:.6g}; "
             "apply metric_closure to repair")
+
+
+def is_metric(inst: Instance, rel_tol: float = METRIC_REL_TOL) -> bool:
+    try:
+        require_metric(inst, rel_tol)
+    except MetricViolationError:
+        return False
+    return True

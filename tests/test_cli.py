@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from hpppt import lifelong
 from hpppt.cli import main
 
 CORRIDOR = "############\n#R........T#\n############\n"
@@ -71,15 +72,19 @@ def test_solve_flag_variants(tmp_path, capsys):
     path = _gen_one(tmp_path, capsys, n=8)
     main(["solve", str(path)])
     plain = json.loads(capsys.readouterr().out)
-    main(["solve", str(path), "--no-heuristic"])
+    main(["solve", str(path), "--solver", "rpt-noh"])
     noh = json.loads(capsys.readouterr().out)
     assert noh["solver"] == "rpt-noh"
     assert noh["cost"] == pytest.approx(plain["cost"], abs=1e-9)
     assert noh["expansions"] >= plain["expansions"]
-    main(["solve", str(path), "--eps", "0.1"])
+    main(["solve", str(path), "--solver", "rpt:0.1"])
     focal = json.loads(capsys.readouterr().out)
     assert focal["solver"] == "rpt:0.1"
     assert focal["cost"] <= 1.1 * plain["cost"] + 1e-9
+    main(["solve", str(path), "--tie-break", "fifo"])
+    fifo = json.loads(capsys.readouterr().out)
+    assert fifo["solver"] == "rpt"
+    assert fifo["cost"] == pytest.approx(plain["cost"], abs=1e-9)
 
 
 def test_solve_writes_out_file(tmp_path, capsys):
@@ -98,10 +103,52 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["solve", str(tmp_path / "missing.hpt")]) == 2
     assert main(["bench", "--sizes", "6..4"]) == 2
-    assert main(["solve", str(path), "--solver", "greedy", "--eps",
-                 "0.1"]) == 2
+    assert main(["solve", str(path), "--solver", "rpt:-0.1"]) == 2
+    assert main(["solve", str(path), "--solver", "greedy", "--tie-break",
+                 "deep"]) == 2
+    assert "does not apply" in capsys.readouterr().err
     assert main(["gen", "--sizes", "5", "--p-max", "1.5",
                  "--out", str(tmp_path)]) == 2
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects unknown flags this way
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--sizes", "5", "--time-limit", "5"],
+    ["gen", "--sizes", "5", "--jobs", "2"],
+    ["solve", "INST", "--seed", "1"],
+    ["solve", "INST", "--jobs", "2"],
+    ["solve", "INST", "--eps", "0.1"],
+    ["solve", "INST", "--no-heuristic"],
+    ["solve", "INST", "--solver", "greedy", "--tie-break", "fifo"],
+    ["solve", "INST", "--solver", "rpt:0.1", "--tour-file", "INST"],
+    ["solve", "INST", "--solver", "oracle", "--tour-file", "INST"],
+    ["lifelong", "--n", "4", "--jobs", "2"],
+    ["explore", "--demo", "accurate", "--jobs", "2"],
+])
+def test_flags_a_subcommand_would_ignore_exit_two(tmp_path, capsys, argv):
+    path = _gen_one(tmp_path, capsys)
+    argv = [str(path) if a == "INST" else a for a in argv]
+    assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_lifelong_time_limit_reaches_solver(monkeypatch, capsys):
+    seen = set()
+    real = lifelong.solve
+
+    def spy(inst, cfg):
+        seen.add(cfg.time_limit)
+        return real(inst, cfg)
+
+    monkeypatch.setattr(lifelong, "solve", spy)
+    assert main(["lifelong", "--n", "5", "--time-limit", "7"]) == 0
+    assert seen == {7.0}
 
 
 def test_bench_csv_and_summary(tmp_path, capsys):

@@ -8,10 +8,9 @@ from hpppt.exploration import (ClusterConfig, ExploreConfig, GoalCluster,
                                build_search_graph, cluster_goals,
                                forest_world, mean_shift, phi_geometric,
                                phi_object, phi_unknown, run_exploration,
-                               sample_start, shortest_path_cells_truth,
-                               with_start)
+                               sample_start, with_start)
 from hpppt.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, WorldModel,
-                        extract_frontiers, parse_world)
+                        extract_frontiers, parse_world, shortest_path_cells)
 
 PRIOR = PriorField()
 
@@ -205,7 +204,7 @@ def test_forest_world_properties():
     assert (w.truth.labels[:, -1] == OCCUPIED).all()
     assert w.truth.label(w.target) == FREE
     assert w.truth.label(w.robot) == FREE
-    assert shortest_path_cells_truth(w, w.robot, w.target) is not None
+    assert shortest_path_cells(w.truth, w.robot, w.target) is not None
     again = forest_world(size=60, n_trees=40, seed=3)
     assert np.array_equal(w.truth.labels, again.truth.labels)
     other = forest_world(size=60, n_trees=40, seed=4)
@@ -223,6 +222,13 @@ def test_start_jitter_helpers():
     assert moved.target == w.target
     with pytest.raises(ValueError, match="not free"):
         with_start(w, (0, 0))
+
+
+def test_unknown_planner_rejected_up_front():
+    # a robot that starts next to the target would otherwise report found
+    world = _world("#R.T#\n")
+    with pytest.raises(ValueError, match="unknown planner"):
+        run_exploration(world, PRIOR, "astar")
 
 
 def test_exploration_frontier_counts_logged():

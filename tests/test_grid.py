@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -173,6 +174,20 @@ def test_load_world_without_sidecar(tmp_path):
     world, cfg = load_world(path)
     assert world.sensor_radius == 10.0
     assert cfg == {}
+
+
+def test_load_world_sensor_is_full_circle(tmp_path):
+    path = tmp_path / "w.map"
+    path.write_text("RT\n")
+    side = tmp_path / "w.map.json"
+    side.write_text(json.dumps({"fov": 2.0 * math.pi}))
+    world, _ = load_world(path)
+    assert not hasattr(world, "fov") and not hasattr(world, "heading")
+    for bad in ({"fov": math.pi / 2}, {"heading": 0.0},
+                {"heading": 1.0, "fov": 2.0 * math.pi}):
+        side.write_text(json.dumps(bad))
+        with pytest.raises(WorldFormatError, match="full circle"):
+            load_world(path)
 
 
 def test_load_world_bad_sidecar(tmp_path):
