@@ -158,7 +158,6 @@ def _parse_targets(text: str, n: int, seed: int) -> list:
 
 
 def cmd_lifelong(args) -> int:
-    time_limit = resolve_time_limit(args.time_limit)
     if not (0.0 < args.init_belief < 1.0):
         raise BenchConfigError("--init-belief must lie in (0, 1)")
     if args.instance:
@@ -183,8 +182,7 @@ def cmd_lifelong(args) -> int:
         for trial in range(args.trials):
             cfg = MissionConfig(planner=planner, seed=args.seed + trial,
                                 p_high=args.p_high, p_low=args.p_low,
-                                max_steps=args.max_steps,
-                                plan_time_limit=time_limit)
+                                max_steps=args.max_steps)
             log = run_mission(inst, truth, sensor, cfg)
             labels = ";".join(c or "undecided" for c in log.classification)
             w.write(f"{planner},{cfg.seed},{log.status},{log.duration:.12g},"
@@ -309,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--metric-closure", action="store_true")
     b.set_defaults(func=cmd_bench)
 
-    m = sub.add_parser("lifelong", parents=[seed, time_limit, out],
+    m = sub.add_parser("lifelong", parents=[seed, out],
                        help="run Bayesian target-search missions")
     m.add_argument("instance", nargs="?", default=None,
                    help="travel-cost instance; omit to generate --n vertices")

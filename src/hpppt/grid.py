@@ -137,7 +137,12 @@ def load_world(map_path, config_path=None):
         pass
     except json.JSONDecodeError as exc:
         raise WorldFormatError(f"bad sidecar config: {exc}") from None
-    if "heading" in cfg or cfg.get("fov", 2.0 * math.pi) != 2.0 * math.pi:
+    fov = cfg.get("fov", 2.0 * math.pi)
+    if not isinstance(fov, (int, float)):
+        raise WorldFormatError(f"sidecar fov must be a number, got {fov!r}")
+    # 2*pi written to four or more significant digits counts as a full circle
+    if "heading" in cfg or not math.isclose(fov, 2.0 * math.pi,
+                                            rel_tol=1e-4):
         raise WorldFormatError(
             "sidecar heading and fov are not supported: the sensor sees a "
             "full circle (fov 2*pi)")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .baselines import blind_hpp_solve, greedy_solve
 from .instance import Instance
-from .solver import DEFAULT_TIME_LIMIT, SolverConfig, solve
+from .solver import SolverConfig, solve
 
 BELIEF_CLAMP = 1.0 - 1e-9
 PLANNERS = ("rpt", "greedy", "blind")
@@ -74,7 +74,6 @@ class MissionConfig:
     p_high: float = 0.98
     p_low: float = 0.15
     max_steps: int = 10_000
-    plan_time_limit: float | None = DEFAULT_TIME_LIMIT  # per rpt replan
 
     def __post_init__(self):
         if not (0.0 < self.p_low < self.p_high < 1.0):
@@ -84,8 +83,6 @@ class MissionConfig:
             raise ValueError(f"unknown planner {self.planner!r}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
-        if self.plan_time_limit is not None and not self.plan_time_limit > 0:
-            raise ValueError("plan_time_limit must be positive")
 
 
 @dataclass
@@ -232,8 +229,7 @@ def run_mission(inst: Instance, truth: GroundTruth, sensor: SensorModel,
         if step_no >= cfg.max_steps:
             status = "truncated"
             break
-        nxt = plan_next(inst.cost, beliefs, surviving, current, cfg.planner,
-                        cfg.plan_time_limit)
+        nxt = plan_next(inst.cost, beliefs, surviving, current, cfg.planner)
         if nxt != current:
             t += float(inst.cost[current, nxt])
             current = nxt

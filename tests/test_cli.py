@@ -3,7 +3,6 @@ import os
 
 import pytest
 
-from hpppt import lifelong
 from hpppt.cli import main
 
 CORRIDOR = "############\n#R........T#\n############\n"
@@ -128,6 +127,7 @@ def _exit_code(argv):
     ["solve", "INST", "--solver", "greedy", "--tie-break", "fifo"],
     ["solve", "INST", "--solver", "rpt:0.1", "--tour-file", "INST"],
     ["solve", "INST", "--solver", "oracle", "--tour-file", "INST"],
+    ["lifelong", "--n", "4", "--time-limit", "5"],
     ["lifelong", "--n", "4", "--jobs", "2"],
     ["explore", "--demo", "accurate", "--jobs", "2"],
 ])
@@ -136,19 +136,6 @@ def test_flags_a_subcommand_would_ignore_exit_two(tmp_path, capsys, argv):
     argv = [str(path) if a == "INST" else a for a in argv]
     assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
-
-
-def test_lifelong_time_limit_reaches_solver(monkeypatch, capsys):
-    seen = set()
-    real = lifelong.solve
-
-    def spy(inst, cfg):
-        seen.add(cfg.time_limit)
-        return real(inst, cfg)
-
-    monkeypatch.setattr(lifelong, "solve", spy)
-    assert main(["lifelong", "--n", "5", "--time-limit", "7"]) == 0
-    assert seen == {7.0}
 
 
 def test_bench_csv_and_summary(tmp_path, capsys):

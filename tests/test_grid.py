@@ -180,14 +180,18 @@ def test_load_world_sensor_is_full_circle(tmp_path):
     path = tmp_path / "w.map"
     path.write_text("RT\n")
     side = tmp_path / "w.map.json"
-    side.write_text(json.dumps({"fov": 2.0 * math.pi}))
-    world, _ = load_world(path)
+    for full in (2.0 * math.pi, 6.28318530718, 6.2832, 6.283):
+        side.write_text(json.dumps({"fov": full}))
+        world, _ = load_world(path)
     assert not hasattr(world, "fov") and not hasattr(world, "heading")
-    for bad in ({"fov": math.pi / 2}, {"heading": 0.0},
+    for bad in ({"fov": math.pi / 2}, {"fov": 6.28}, {"heading": 0.0},
                 {"heading": 1.0, "fov": 2.0 * math.pi}):
         side.write_text(json.dumps(bad))
         with pytest.raises(WorldFormatError, match="full circle"):
             load_world(path)
+    side.write_text(json.dumps({"fov": "6.28"}))
+    with pytest.raises(WorldFormatError, match="must be a number"):
+        load_world(path)
 
 
 def test_load_world_bad_sidecar(tmp_path):

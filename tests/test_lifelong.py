@@ -6,7 +6,6 @@ import pytest
 from hpppt import (DegenerateUpdateError, GroundTruth, Instance,
                    MissionConfig, SensorModel, generate_random, predict,
                    run_mission, update)
-from hpppt import DEFAULT_TIME_LIMIT, lifelong
 from hpppt.generate import assign_probabilities
 from hpppt.lifelong import plan_next
 
@@ -71,8 +70,6 @@ def test_ground_truth_and_config_validation():
         MissionConfig(p_high=0.1, p_low=0.5)
     with pytest.raises(ValueError):
         MissionConfig(planner="astar")
-    with pytest.raises(ValueError):
-        MissionConfig(plan_time_limit=0.0)
 
 
 def test_noiseless_mission_classifies_in_single_visits():
@@ -125,25 +122,6 @@ def test_truncation_at_step_budget():
     assert log.status == "truncated"
     assert len(log.steps) == 3
     assert None in log.classification
-
-
-def test_plan_time_limit_reaches_solver(monkeypatch):
-    seen = set()
-    real = lifelong.solve
-
-    def spy(inst, cfg):
-        seen.add(cfg.time_limit)
-        return real(inst, cfg)
-
-    monkeypatch.setattr(lifelong, "solve", spy)
-    inst = _mission_instance(5, seed=17)
-    truth = GroundTruth.from_targets(5, [2])
-    run_mission(inst, truth, SENSOR, MissionConfig(max_steps=3))
-    assert seen == {DEFAULT_TIME_LIMIT}
-    seen.clear()
-    run_mission(inst, truth, SENSOR,
-                MissionConfig(max_steps=3, plan_time_limit=7.5))
-    assert seen == {7.5}
 
 
 def test_json_lines_schema():
