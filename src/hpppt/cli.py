@@ -53,6 +53,15 @@ def resolve_time_limit(explicit) -> float:
     return float(explicit)
 
 
+def _reject_moot(what: str, flags) -> None:
+    """Exit 2 when flags given explicitly (not None) have no effect."""
+    given = [name for name, value in flags if value is not None]
+    if given:
+        verb = "does" if len(given) == 1 else "do"
+        raise BenchConfigError(f"{', '.join(given)} {verb} not apply to "
+                               f"{what}")
+
+
 def _emit(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w") as fh:
@@ -78,6 +87,8 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     time_limit = resolve_time_limit(args.time_limit)
     spec = parse_solver(args.solver)
+    if args.time_limit is not None and spec.kind != "rpt":
+        raise BenchConfigError(f"--time-limit does not apply to {spec.kind}")
     if args.tie_break is not None and spec.kind != "rpt":
         raise BenchConfigError(f"--tie-break does not apply to {spec.kind}")
     if args.tour_file is not None and spec.kind != "blind":
@@ -104,15 +115,22 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     time_limit = resolve_time_limit(args.time_limit)
+    solvers = [t.strip() for t in args.solvers.split(",") if t.strip()]
+    if not any(parse_solver(t).kind == "rpt" for t in solvers):
+        _reject_moot("a grid without rpt tokens",
+                     [("--time-limit", args.time_limit)])
     if args.instances:
+        _reject_moot("instance files",
+                     [("--sizes", args.sizes), ("--count", args.count),
+                      ("--p-max", args.p_max), ("--seed", args.seed)])
         sources = bench_mod.file_sources(args.instances, args.metric_closure)
     elif args.sizes:
-        sources = bench_mod.generated_sources(parse_sizes(args.sizes),
-                                              args.count, args.seed,
-                                              args.p_max)
+        sources = bench_mod.generated_sources(
+            parse_sizes(args.sizes), 5 if args.count is None else args.count,
+            0 if args.seed is None else args.seed,
+            0.9 if args.p_max is None else args.p_max)
     else:
         sources = []
-    solvers = [t.strip() for t in args.solvers.split(",") if t.strip()]
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     rows = bench_mod.run_grid(sources, solvers, reps=args.reps,
                               time_limit=time_limit, jobs=jobs)
@@ -161,10 +179,12 @@ def cmd_lifelong(args) -> int:
     if not (0.0 < args.init_belief < 1.0):
         raise BenchConfigError("--init-belief must lie in (0, 1)")
     if args.instance:
+        _reject_moot("an instance file", [("--n", args.n)])
         base = load_instance(args.instance)
         name = base.name or os.path.basename(args.instance)
     else:
-        base = generate_random(args.n, seed=derive_seed(args.seed, 101))
+        base = generate_random(13 if args.n is None else args.n,
+                               seed=derive_seed(args.seed, 101))
         name = base.name
     beliefs = np.full(base.n, args.init_belief)
     inst = Instance(base.cost, beliefs, base.start, name, base.coords,
@@ -211,6 +231,10 @@ def _demo_world(kind: str, seed: int):
 
 def cmd_explore(args) -> int:
     time_limit = resolve_time_limit(args.time_limit)
+    planners = _parse_planners(args.planners)
+    if "rpt" not in planners:
+        _reject_moot("planners without rpt",
+                     [("--time-limit", args.time_limit)])
     worlds = []
     if args.demo:
         worlds.append(_demo_world(args.demo, args.seed))
@@ -221,7 +245,6 @@ def cmd_explore(args) -> int:
         worlds.append((world, prior, name))
     if not worlds:
         raise BenchConfigError("need a world map or --demo")
-    planners = _parse_planners(args.planners)
     cfg = ExploreConfig(max_steps=args.max_steps,
                         plan_time_limit=time_limit)
     if args.out:
@@ -254,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                  help="base seed for all derived randomness (default 0)")
     time_limit = _flag("--time-limit", type=float, default=None,
                        metavar="SECS",
-                       help=f"per-solve limit; falls back to "
+                       help=f"rpt only: per-solve limit; falls back to "
                             f"${TIME_LIMIT_ENV} then 60")
     jobs = _flag("--jobs", type=int, default=None,
                  help="worker processes for grids (default: logical cores)")
@@ -291,15 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="blind only: precomputed visiting order")
     s.set_defaults(func=cmd_solve)
 
-    b = sub.add_parser("bench", parents=[seed, time_limit, jobs, out],
+    b = sub.add_parser("bench", parents=[time_limit, jobs, out],
                        help="run a solver grid, emit CSV plus a summary")
     b.add_argument("instances", nargs="*",
                    help="instance files; omit to generate via --sizes")
+    # the generation flags default to None so that one given together with
+    # instance files can be rejected; cmd_bench applies the defaults
     b.add_argument("--sizes", default=None,
                    help="generate instances of these sizes")
-    b.add_argument("--count", type=int, default=5,
+    b.add_argument("--count", type=int, default=None,
                    help="generated instances per size (default 5)")
-    b.add_argument("--p-max", type=float, default=0.9)
+    b.add_argument("--p-max", type=float, default=None,
+                   help="generated probability upper bound (default 0.9)")
+    b.add_argument("--seed", type=int, default=None,
+                   help="seed of the generated instances (default 0)")
     b.add_argument("--solvers", default="rpt",
                    help="comma list of solver tokens (default rpt)")
     b.add_argument("--reps", type=int, default=1,
@@ -311,8 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run Bayesian target-search missions")
     m.add_argument("instance", nargs="?", default=None,
                    help="travel-cost instance; omit to generate --n vertices")
-    m.add_argument("--n", type=int, default=13,
-                   help="generated mission size (default 13)")
+    m.add_argument("--n", type=int, default=None,
+                   help="generated mission size (default 13); not with a "
+                        "file")
     m.add_argument("--planners", default="rpt",
                    help="comma list: rpt, greedy, blind")
     m.add_argument("--trials", type=int, default=1,

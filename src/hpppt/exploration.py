@@ -25,6 +25,7 @@ from .lifelong import PLANNERS
 from .solver import DEFAULT_TIME_LIMIT, SolverConfig, solve
 
 PROB_CLAMP = 1.0 - 1e-9
+RAY_CHUNK = 8  # frontier cells per phi_g array pass; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,12 @@ class ClusterConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.bandwidth <= 0 or self.converge_tol <= 0 or self.merge_dist < 0:
-            raise ValueError("cluster distances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
+        _require(self, "bandwidth", self.bandwidth > 0, "must be positive")
+        _require(self, "converge_tol", self.converge_tol > 0,
+                 "must be positive")
+        _require(self, "merge_dist", self.merge_dist >= 0,
+                 "must be nonnegative")
+        _require(self, "max_iter", self.max_iter >= 1, "must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -93,16 +96,99 @@ class ExploreConfig:
     replan_delta: float = 0.2
     plan_time_limit: float | None = DEFAULT_TIME_LIMIT
 
+    def __post_init__(self):
+        _require(self, "window", self.window >= 0, "must be nonnegative")
+        _require(self, "phi_g_fov", 0 < self.phi_g_fov <= 2.0 * math.pi,
+                 "must lie in (0, 2*pi]")
+        _require(self, "rays", self.rays >= 1, "must be at least 1")
+        _require(self, "ray_step", self.ray_step > 0, "must be positive")
+        _require(self, "success_dist", self.success_dist > 0,
+                 "must be positive")
+        _require(self, "vertex_cap", self.vertex_cap >= 1,
+                 "must be at least 1")
+        _require(self, "focal_eps", self.focal_eps >= 0,
+                 "must be nonnegative")
+        _require(self, "max_steps", self.max_steps >= 0, "must be nonnegative")
+        _require(self, "replan_delta", self.replan_delta >= 0,
+                 "must be nonnegative")
+        _require(self, "plan_time_limit",
+                 self.plan_time_limit is None or self.plan_time_limit > 0,
+                 "must be positive or None")
+
+
+def _require(cfg, name: str, ok: bool, rule: str) -> None:
+    """Reject a config field; written so that NaN fails every rule."""
+    if not ok:
+        raise ValueError(f"{type(cfg).__name__}.{name} {rule}, "
+                         f"got {getattr(cfg, name)!r}")
+
+
+def _cell_array(cells) -> np.ndarray:
+    return np.asarray(cells, dtype=np.intp).reshape(-1, 2)
+
+
+def _phi_unknown_cells(labels: np.ndarray, cells: np.ndarray,
+                       window: int) -> np.ndarray:
+    """phi_u of each (row, col) in cells, from one prefix-sum table of the
+    Unknown cells."""
+    h, w = labels.shape
+    table = np.zeros((h + 1, w + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(labels == UNKNOWN, axis=0), axis=1,
+              out=table[1:, 1:])
+    r, c = cells[:, 0], cells[:, 1]
+    r0, r1 = np.maximum(r - window, 0), np.minimum(r + window + 1, h)
+    c0, c1 = np.maximum(c - window, 0), np.minimum(c + window + 1, w)
+    count = table[r1, c1] - table[r0, c1] - table[r1, c0] + table[r0, c0]
+    return count / ((r1 - r0) * (c1 - c0))
+
 
 def phi_unknown(grid: OccupancyGrid, cell, window: int = 5) -> float:
     """Unknown fraction of the (2w+1)^2 square around cell, clipped at the
     borders; the denominator counts only in-bounds cells."""
-    r, c = cell
-    h, w = grid.labels.shape
-    r0, r1 = max(0, r - window), min(h, r + window + 1)
-    c0, c1 = max(0, c - window), min(w, c + window + 1)
-    block = grid.labels[r0:r1, c0:c1]
-    return float(np.count_nonzero(block == UNKNOWN) / block.size)
+    return float(_phi_unknown_cells(grid.labels, _cell_array(cell),
+                                    window)[0])
+
+
+def _phi_geometric_cells(labels: np.ndarray, cells: np.ndarray,
+                         bearings: np.ndarray, fov: float, rays: int,
+                         ray_step: float,
+                         max_range_cells: float) -> np.ndarray:
+    """phi_g of each cell with its own bearing; the rays of RAY_CHUNK cells
+    are marched in one array pass."""
+    out = np.empty(len(cells))
+    if not len(cells):
+        return out
+    h, w = labels.shape
+    nsteps = max(1, int(math.ceil(max_range_cells / ray_step)))
+    dist = (np.arange(1, nsteps + 1) * ray_step).clip(max=max_range_cells)
+    if rays == 1:
+        fan = np.zeros(1)
+    else:
+        fan = np.linspace(-fov / 2.0, fov / 2.0, rays)
+    # an Unknown border wide enough for every sample: a sample off the
+    # grid then reads as Unknown, and nothing needs an in-bounds test
+    off_grid = max(0, -int(cells.min()), int(cells[:, 0].max()) - h + 1,
+                   int(cells[:, 1].max()) - w + 1)
+    pad = int(math.ceil(max_range_cells)) + 2 + off_grid
+    padded = np.pad(labels, pad, constant_values=UNKNOWN).ravel()
+    stride = w + 2 * pad
+    origin = cells + 0.5
+    for lo in range(0, len(cells), RAY_CHUNK):
+        hi = lo + RAY_CHUNK
+        ang = bearings[lo:hi, None] + fan
+        rr = np.floor(origin[lo:hi, 0, None, None]
+                      + np.sin(ang)[:, :, None] * dist).astype(np.intp)
+        cc = np.floor(origin[lo:hi, 1, None, None]
+                      + np.cos(ang)[:, :, None] * dist).astype(np.intp)
+        lab = padded.take((rr + pad) * stride + cc + pad)
+        unknown = lab == UNKNOWN
+        stop = unknown | (lab == OCCUPIED)
+        # a ray hits when its first stopping sample is Unknown; a ray with
+        # no stopping sample has argmax 0 and no Unknown there
+        first = stop.argmax(axis=2)[:, :, None]
+        hits = np.take_along_axis(unknown, first, axis=2)
+        out[lo:hi] = np.count_nonzero(hits, axis=(1, 2)) / len(fan)
+    return out
 
 
 def phi_geometric(grid: OccupancyGrid, cell, bearing: float,
@@ -111,41 +197,35 @@ def phi_geometric(grid: OccupancyGrid, cell, bearing: float,
     """Fraction of rays from the cell, fanned over fov about bearing, that
     reach an Unknown cell before an Occupied one. Leaving the grid counts
     as reaching Unknown; running out of range counts as neither."""
-    h, w = grid.labels.shape
-    nsteps = max(1, int(math.ceil(max_range_cells / ray_step)))
-    dist = (np.arange(1, nsteps + 1) * ray_step).clip(max=max_range_cells)
-    if rays == 1:
-        ang = np.array([bearing])
-    else:
-        ang = bearing + np.linspace(-fov / 2.0, fov / 2.0, rays)
-    rr = np.floor(cell[0] + 0.5 + np.sin(ang)[:, None] * dist[None, :])
-    cc = np.floor(cell[1] + 0.5 + np.cos(ang)[:, None] * dist[None, :])
-    rr = rr.astype(np.intp)
-    cc = cc.astype(np.intp)
-    inside = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-    lab = grid.labels[rr.clip(0, h - 1), cc.clip(0, w - 1)]
-    unknown = (lab == UNKNOWN) | ~inside
-    occupied = (lab == OCCUPIED) & inside
-    nsamp = dist.shape[0]
-    first_unknown = np.where(unknown.any(axis=1), unknown.argmax(axis=1), nsamp)
-    first_occupied = np.where(occupied.any(axis=1), occupied.argmax(axis=1),
-                              nsamp)
-    hits = (first_unknown < nsamp) & (first_unknown < first_occupied)
-    return float(np.count_nonzero(hits) / len(hits))
+    return float(_phi_geometric_cells(
+        grid.labels, _cell_array(cell), np.array([bearing], dtype=np.float64),
+        fov, rays, ray_step, max_range_cells)[0])
+
+
+def _phi_object_cells(prior: PriorField, grid: OccupancyGrid,
+                      cells: np.ndarray) -> list:
+    """phi_o of each cell: Mahalanobis terms for all cells at once per
+    Gaussian, math.exp and the running max per cell."""
+    best = [0.0] * len(cells)
+    if not prior.gaussians or not len(cells):
+        return best
+    res = grid.resolution
+    xy = np.column_stack(((cells[:, 1] + 0.5) * res,
+                          (cells[:, 0] + 0.5) * res))
+    for mean, cov in prior.gaussians:
+        d = xy - mean
+        s = np.linalg.solve(np.broadcast_to(cov, (len(d), 2, 2)),
+                            d[:, :, None])[:, :, 0]
+        m = (d[:, None, :] @ s[:, :, None])[:, 0, 0]
+        for i, e in enumerate((-0.5 * m).tolist()):
+            best[i] = max(best[i], math.exp(e))
+    return best
 
 
 def phi_object(prior: PriorField, grid: OccupancyGrid, cell) -> float:
     """Max over the prior's Gaussians of the peak-normalized density at the
     cell center. Empty mixture scores 0."""
-    if not prior.gaussians:
-        return 0.0
-    x = np.array(grid.center(cell))
-    best = 0.0
-    for mean, cov in prior.gaussians:
-        d = x - mean
-        m = float(d @ np.linalg.solve(cov, d))
-        best = max(best, math.exp(-0.5 * m))
-    return best
+    return _phi_object_cells(prior, grid, _cell_array(cell))[0]
 
 
 def assign_probability(grid: OccupancyGrid, frontiers, prior: PriorField,
@@ -155,19 +235,18 @@ def assign_probability(grid: OccupancyGrid, frontiers, prior: PriorField,
     clamped to [0, 1 - 1e-9]. phi_g rays leave the frontier cell along the
     robot-to-cell bearing."""
     w_u, w_g, w_o = prior.weights
-    out = np.empty(len(frontiers))
-    for i, cell in enumerate(frontiers):
-        bearing = math.atan2(cell[0] - robot[0], cell[1] - robot[1])
-        p = 0.0
-        if w_u:
-            p += w_u * phi_unknown(grid, cell, cfg.window)
-        if w_g:
-            p += w_g * phi_geometric(grid, cell, bearing, cfg.phi_g_fov,
-                                     cfg.rays, cfg.ray_step,
-                                     sensor_radius_cells)
-        if w_o:
-            p += w_o * phi_object(prior, grid, cell)
-        out[i] = p
+    cells = _cell_array(frontiers)
+    out = np.zeros(len(cells))
+    if w_u:
+        out += w_u * _phi_unknown_cells(grid.labels, cells, cfg.window)
+    if w_g:
+        bearings = np.array([math.atan2(r - robot[0], c - robot[1])
+                             for r, c in cells.tolist()], dtype=np.float64)
+        out += w_g * _phi_geometric_cells(grid.labels, cells, bearings,
+                                          cfg.phi_g_fov, cfg.rays,
+                                          cfg.ray_step, sensor_radius_cells)
+    if w_o:
+        out += w_o * np.array(_phi_object_cells(prior, grid, cells))
     return np.clip(out, 0.0, PROB_CLAMP)
 
 
@@ -189,9 +268,20 @@ def mean_shift(points: np.ndarray, weights: np.ndarray,
         w_p = np.ones(len(pts))
     centers = pts.copy()
     two_bw2 = 2.0 * cfg.bandwidth * cfg.bandwidth
+    px, py = pts[:, 0].copy(), pts[:, 1].copy()
+    w = np.empty((len(pts), len(pts)))
+    dy = np.empty_like(w)
     for _ in range(cfg.max_iter):
-        d2 = ((centers[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        w = w_p[None, :] * np.exp(-d2 / two_bw2)
+        # w = w_p * exp(-|c - p|^2 / two_bw2), built in place on two (F, F)
+        # arrays with the same operations as the broadcast form
+        np.subtract(centers[:, 0, None], px, out=w)
+        np.subtract(centers[:, 1, None], py, out=dy)
+        w *= w
+        dy *= dy
+        w += dy
+        w /= -two_bw2
+        np.exp(w, out=w)
+        w *= w_p
         newc = (w @ pts) / w.sum(axis=1, keepdims=True)
         move = np.sqrt(((newc - centers) ** 2).sum(axis=1))
         centers = newc
@@ -211,21 +301,22 @@ def cluster_goals(grid: OccupancyGrid, frontiers, probs,
     pts = np.asarray(frontiers, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
     centers = mean_shift(pts, probs, cfg)
-    groups: list[list[int]] = []
-    anchors: list[np.ndarray] = []
-    for i in range(len(centers)):
-        placed = False
-        for gi, anchor in enumerate(anchors):
-            if np.hypot(*(centers[i] - anchor)) <= cfg.merge_dist:
-                groups[gi].append(i)
-                placed = True
-                break
-        if not placed:
-            groups.append([i])
-            anchors.append(centers[i])
+    # Each center joins the first earlier anchor within merge_dist, or else
+    # becomes an anchor. Taking the anchors in order, an anchor claims every
+    # later center that no earlier anchor has claimed.
+    groups = []
+    claimed = np.zeros(len(centers), dtype=bool)
+    for a, (x, y) in enumerate(centers):
+        if claimed[a]:
+            continue
+        near = np.hypot(centers[:, 0] - x, centers[:, 1] - y) <= cfg.merge_dist
+        near[a] = True
+        near &= ~claimed
+        claimed |= near
+        groups.append(near.nonzero()[0])
     free = np.argwhere(grid.labels == FREE)
     out: dict[tuple, GoalCluster] = {}
-    for members, anchor in zip(groups, anchors):
+    for members in groups:
         center = centers[members].mean(axis=0)
         prob = float(probs[members].max())
         d2 = ((free - center[None, :]) ** 2).sum(axis=1)
@@ -366,11 +457,13 @@ def run_exploration(world: WorldModel, prior: PriorField, planner: str,
         d = np.hypot(*(np.array(grid.center(robot)) - target_xy))
         return d < cfg.success_dist
 
+    # one extraction per step: the frontiers after a step's reveal are
+    # logged in its record and drive the next iteration
+    frontiers = extract_frontiers(grid)
     while len(steps) < cfg.max_steps:
         if success():
             status = "found"
             break
-        frontiers = extract_frontiers(grid)
         if not frontiers:
             status = "exhausted"
             break
@@ -420,9 +513,9 @@ def run_exploration(world: WorldModel, prior: PriorField, planner: str,
         robot = path.pop(0)
         t += res
         revealed += reveal(grid, world, robot, cfg.rays, cfg.ray_step)
+        frontiers = extract_frontiers(grid)
         steps.append(ExploreStep(len(steps) + 1, t, robot, revealed,
-                                 len(extract_frontiers(grid)), clusters_n,
-                                 replanned))
+                                 len(frontiers), clusters_n, replanned))
     else:
         status = "truncated"
     if status == "truncated" and success():

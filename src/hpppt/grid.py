@@ -176,7 +176,7 @@ def extract_frontiers(grid: OccupancyGrid) -> list:
     near_unknown = (unk[:-2, 1:-1] | unk[2:, 1:-1]
                     | unk[1:-1, :-2] | unk[1:-1, 2:])
     mask = (lab == FREE) & near_unknown
-    return [(int(r), int(c)) for r, c in np.argwhere(mask)]
+    return list(map(tuple, np.argwhere(mask).tolist()))
 
 
 _ray_cache: dict = {}

@@ -130,12 +130,38 @@ def _exit_code(argv):
     ["lifelong", "--n", "4", "--time-limit", "5"],
     ["lifelong", "--n", "4", "--jobs", "2"],
     ["explore", "--demo", "accurate", "--jobs", "2"],
+    # --time-limit reaches rpt only
+    ["solve", "INST", "--solver", "oracle", "--time-limit", "1e-9"],
+    ["solve", "INST", "--solver", "greedy", "--time-limit", "5"],
+    ["bench", "--sizes", "5", "--solvers", "greedy,blind,oracle",
+     "--time-limit", "5"],
+    ["explore", "--demo", "accurate", "--planners", "greedy,blind",
+     "--time-limit", "5"],
+    # generation flags next to input files
+    ["bench", "INST", "--sizes", "5"],
+    ["bench", "INST", "--count", "9"],
+    ["bench", "INST", "--p-max", "0.5"],
+    ["bench", "INST", "--seed", "99"],
+    ["lifelong", "INST", "--n", "40"],
 ])
 def test_flags_a_subcommand_would_ignore_exit_two(tmp_path, capsys, argv):
     path = _gen_one(tmp_path, capsys)
     argv = [str(path) if a == "INST" else a for a in argv]
     assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert "not apply" in err or "unrecognized arguments" in err
+
+
+def test_flags_that_take_effect_still_accepted(tmp_path, capsys):
+    path = _gen_one(tmp_path, capsys)
+    assert main(["solve", str(path), "--solver", "rpt:0.1",
+                 "--time-limit", "5"]) == 0
+    assert main(["bench", "--sizes", "5", "--count", "1", "--seed", "2",
+                 "--p-max", "0.5", "--solvers", "greedy,rpt",
+                 "--time-limit", "5", "--jobs", "1"]) == 0
+    assert main(["lifelong", str(path), "--seed", "2"]) == 0
+    capsys.readouterr()
 
 
 def test_bench_csv_and_summary(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from hpppt.exploration import (ClusterConfig, ExploreConfig, GoalCluster,
                                phi_object, phi_unknown, run_exploration,
                                sample_start, with_start)
 from hpppt.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, WorldModel,
-                        extract_frontiers, parse_world, shortest_path_cells)
+                        extract_frontiers, parse_world, reveal,
+                        shortest_path_cells)
 
 PRIOR = PriorField()
 
@@ -238,3 +240,245 @@ def test_exploration_frontier_counts_logged():
     for s in log.steps:
         assert s.frontiers >= 0
         assert s.clusters >= 0
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (ExploreConfig, "window", -1),
+    (ExploreConfig, "phi_g_fov", 0.0),
+    (ExploreConfig, "phi_g_fov", 2.0 * math.pi + 1e-9),
+    (ExploreConfig, "phi_g_fov", float("nan")),
+    (ExploreConfig, "rays", 0),
+    (ExploreConfig, "ray_step", 0.0),
+    (ExploreConfig, "success_dist", 0.0),
+    (ExploreConfig, "vertex_cap", 0),
+    (ExploreConfig, "focal_eps", -0.01),
+    (ExploreConfig, "max_steps", -1),
+    (ExploreConfig, "replan_delta", -0.1),
+    (ExploreConfig, "plan_time_limit", 0.0),
+    (ClusterConfig, "bandwidth", 0.0),
+    (ClusterConfig, "converge_tol", -1.0),
+    (ClusterConfig, "merge_dist", -0.5),
+    (ClusterConfig, "max_iter", 0),
+])
+def test_config_rejects_values_that_cannot_take_effect(cls, name, value):
+    with pytest.raises(ValueError, match=rf"{cls.__name__}\.{name} "):
+        cls(**{name: value})
+
+
+def test_config_accepts_boundary_values():
+    ClusterConfig(merge_dist=0.0)
+    ExploreConfig(window=0, phi_g_fov=2.0 * math.pi, rays=1, max_steps=0,
+                  focal_eps=0.0, replan_delta=0.0, vertex_cap=1,
+                  plan_time_limit=None)
+
+
+# The references below are the broadcast and per-cell forms that
+# mean_shift and assign_probability compute in fewer array passes; the
+# results must agree bit for bit, not approximately.
+
+def _reference_mean_shift(pts, weights, cfg):
+    if not np.any(weights > 0):
+        weights = np.ones(len(pts))
+    centers = pts.copy()
+    two_bw2 = 2.0 * cfg.bandwidth * cfg.bandwidth
+    for _ in range(cfg.max_iter):
+        d2 = ((centers[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        w = weights[None, :] * np.exp(-d2 / two_bw2)
+        newc = (w @ pts) / w.sum(axis=1, keepdims=True)
+        move = np.sqrt(((newc - centers) ** 2).sum(axis=1))
+        centers = newc
+        if np.all(move < cfg.converge_tol):
+            break
+    return centers
+
+
+def _ref_phi_unknown(grid, cell, window):
+    h, w = grid.labels.shape
+    r, c = cell
+    block = grid.labels[max(0, r - window):min(h, r + window + 1),
+                        max(0, c - window):min(w, c + window + 1)]
+    return float(np.count_nonzero(block == UNKNOWN) / block.size)
+
+
+def _ref_phi_geometric(grid, cell, bearing, fov, rays, ray_step, radius):
+    h, w = grid.labels.shape
+    nsteps = max(1, int(math.ceil(radius / ray_step)))
+    dist = (np.arange(1, nsteps + 1) * ray_step).clip(max=radius)
+    if rays == 1:
+        ang = np.array([bearing])
+    else:
+        ang = bearing + np.linspace(-fov / 2.0, fov / 2.0, rays)
+    rr = np.floor(cell[0] + 0.5 + np.sin(ang)[:, None] * dist[None, :])
+    cc = np.floor(cell[1] + 0.5 + np.cos(ang)[:, None] * dist[None, :])
+    rr = rr.astype(np.intp)
+    cc = cc.astype(np.intp)
+    inside = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
+    lab = grid.labels[rr.clip(0, h - 1), cc.clip(0, w - 1)]
+    unknown = (lab == UNKNOWN) | ~inside
+    occupied = (lab == OCCUPIED) & inside
+    n = len(dist)
+    fu = np.where(unknown.any(axis=1), unknown.argmax(axis=1), n)
+    fo = np.where(occupied.any(axis=1), occupied.argmax(axis=1), n)
+    hits = (fu < n) & (fu < fo)
+    return float(np.count_nonzero(hits) / len(hits))
+
+
+def _ref_phi_object(prior, grid, cell):
+    x = np.array(grid.center(cell))
+    best = 0.0
+    for mean, cov in prior.gaussians:
+        d = x - mean
+        m = float(d @ np.linalg.solve(cov, d))
+        best = max(best, math.exp(-0.5 * m))
+    return best
+
+
+def _reference_probability(grid, cells, prior, robot, cfg, radius):
+    w_u, w_g, w_o = prior.weights
+    out = []
+    for cell in cells:
+        bearing = math.atan2(cell[0] - robot[0], cell[1] - robot[1])
+        p = 0.0
+        if w_u:
+            p += w_u * _ref_phi_unknown(grid, cell, cfg.window)
+        if w_g:
+            p += w_g * _ref_phi_geometric(grid, cell, bearing, cfg.phi_g_fov,
+                                          cfg.rays, cfg.ray_step, radius)
+        if w_o:
+            p += w_o * _ref_phi_object(prior, grid, cell)
+        out.append(p)
+    return np.clip(np.array(out), 0.0, 1.0 - 1e-9)
+
+
+def _a11_prior(world, kind):
+    r, c = world.target
+    if kind == "misleading":
+        c = world.truth.shape[1] - 1 - c
+    return PriorField(
+        gaussians=((world.truth.center((r, c)), ((1600.0, 0.0),
+                                                 (0.0, 1600.0))),),
+        weights=(0.2, 0.1, 0.7))
+
+
+def _partly_revealed_forest():
+    """The A11 forest after the robot has revealed every sixth cell of the
+    first 60 of its shortest path to the target."""
+    world = forest_world(seed=0)
+    grid = OccupancyGrid.all_unknown(world.truth.shape)
+    path = shortest_path_cells(world.truth, world.robot, world.target)
+    for cell in path[:60:6]:
+        reveal(grid, world, cell)
+    return world, grid, path[54]
+
+
+TWO_GAUSSIANS = PriorField(
+    gaussians=(((30.0, 70.0), ((30.0, 5.3), (5.3, 20.0))),
+               ((62.5, 11.0), ((400.0, -100.0), (-100.0, 90.0)))),
+    weights=(0.3, 0.3, 0.4))
+
+
+@pytest.mark.parametrize("prior", ["empty", "a11", "two"])
+@pytest.mark.parametrize("cfg", [
+    ExploreConfig(),
+    ExploreConfig(rays=1),
+    ExploreConfig(window=0, rays=7, ray_step=0.3, phi_g_fov=2.0 * math.pi),
+])
+def test_assign_probability_equals_per_cell_reference(prior, cfg):
+    world, grid, robot = _partly_revealed_forest()
+    prior = {"empty": PriorField(), "a11": _a11_prior(world, "accurate"),
+             "two": TWO_GAUSSIANS}[prior]
+    border = [(0, 0), (0, 57), (99, 99), (50, 0), (98, 1), (1, 98)]
+    cells = extract_frontiers(grid) + border
+    assert len(cells) > 100
+    got = assign_probability(grid, cells, prior, robot, cfg, 10.0)
+    want = _reference_probability(grid, cells, prior, robot, cfg, 10.0)
+    assert got.tolist() == want.tolist()
+
+
+def test_per_cell_factors_equal_reference():
+    world, grid, robot = _partly_revealed_forest()
+    cells = extract_frontiers(grid)[::9] + [(0, 0), (99, 99), (50, 0)]
+    prior = TWO_GAUSSIANS
+    for cell in cells:
+        for window in (0, 1, 5):
+            assert phi_unknown(grid, cell, window) == _ref_phi_unknown(
+                grid, cell, window)
+        for bearing, fov, rays in ((0.0, 1.0, 1), (1.3, math.pi / 2, 180),
+                                   (-2.9, 2.0 * math.pi, 33)):
+            assert phi_geometric(grid, cell, bearing, fov, rays, 0.5,
+                                 10.0) == _ref_phi_geometric(
+                grid, cell, bearing, fov, rays, 0.5, 10.0)
+        assert phi_object(prior, grid, cell) == _ref_phi_object(
+            prior, grid, cell)
+        assert phi_object(PRIOR, grid, cell) == 0.0
+
+
+@pytest.mark.parametrize("bandwidth", [3.0, 8.0])
+@pytest.mark.parametrize("weights", ["probs", "zeros"])
+def test_mean_shift_equals_broadcast_reference(bandwidth, weights):
+    world, grid, robot = _partly_revealed_forest()
+    cells = extract_frontiers(grid)
+    pts = np.asarray(cells, dtype=np.float64)
+    if weights == "probs":
+        w = assign_probability(grid, cells, _a11_prior(world, "accurate"),
+                               robot, ExploreConfig(), 10.0)
+    else:
+        w = np.zeros(len(pts))
+    cfg = ClusterConfig(bandwidth=bandwidth)
+    got = mean_shift(pts, w, cfg)
+    assert got.tolist() == _reference_mean_shift(pts, w, cfg).tolist()
+
+
+def _reference_cluster_goals(grid, frontiers, probs, cfg):
+    pts = np.asarray(frontiers, dtype=np.float64)
+    centers = mean_shift(pts, probs, cfg)
+    groups, anchors = [], []
+    for i in range(len(centers)):
+        for gi, anchor in enumerate(anchors):
+            if np.hypot(*(centers[i] - anchor)) <= cfg.merge_dist:
+                groups[gi].append(i)
+                break
+        else:
+            groups.append([i])
+            anchors.append(centers[i])
+    free = np.argwhere(grid.labels == FREE)
+    out = {}
+    for members in groups:
+        center = centers[members].mean(axis=0)
+        pick = free[int(np.argmin(((free - center[None, :]) ** 2).sum(1)))]
+        cell = (int(pick[0]), int(pick[1]))
+        prev = out.get(cell, GoalCluster(cell, 0.0, ()))
+        out[cell] = GoalCluster(
+            cell, max(prev.prob, float(probs[members].max())),
+            prev.members + tuple(tuple(pts[m].astype(int)) for m in members))
+    return [out[k] for k in sorted(out)]
+
+
+@pytest.mark.parametrize("merge_dist", [0.0, 1.5, 4.0, 12.0])
+def test_cluster_goals_equals_pairwise_anchor_reference(merge_dist):
+    world, grid, robot = _partly_revealed_forest()
+    cells = extract_frontiers(grid)
+    probs = assign_probability(grid, cells, _a11_prior(world, "accurate"),
+                               robot, ExploreConfig(), 10.0)
+    cfg = ClusterConfig(bandwidth=3.0, merge_dist=merge_dist)
+    assert cluster_goals(grid, cells, probs, cfg) == (
+        _reference_cluster_goals(grid, cells, probs, cfg))
+
+
+# sha256 of to_json_lines() for 150 rpt steps on the A11 forest, recorded
+# before mean shift and frontier scoring were rewritten as array passes
+A11_LOG_SHA256 = {
+    "accurate":
+        "2aaa99d1ecfa85d5205f82916f950cddae840048b475890f40830159e19497c7",
+    "misleading":
+        "f3212a6d7405405bf7ab094629030e243a3d9df02268a13a2d4614613ee8f269",
+}
+
+
+@pytest.mark.parametrize("kind", ["accurate", "misleading"])
+def test_exploration_log_matches_recorded_digest(kind):
+    world = forest_world(seed=0)
+    log = run_exploration(world, _a11_prior(world, kind), "rpt",
+                          ExploreConfig(max_steps=150))
+    digest = hashlib.sha256(log.to_json_lines().encode()).hexdigest()
+    assert digest == A11_LOG_SHA256[kind]
