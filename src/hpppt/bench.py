@@ -7,6 +7,7 @@ completion order; only the wall_time column varies between reruns.
 import csv
 import io
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -164,7 +165,9 @@ def _run_one(job: dict) -> dict:
     }
     try:
         res = run_solver(_materialize(source), spec, job["time_limit"])
-    except Exception:
+    except Exception as exc:
+        print(f"bench: {source['name']} / {spec.token}: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return row
     row["status"] = res.status
     row["cost"] = res.cost

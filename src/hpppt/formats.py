@@ -18,8 +18,8 @@ import os
 
 import numpy as np
 
-from .instance import (Instance, InvalidPathError, check_path,
-                       euclidean_costs, require_metric)
+from .instance import (Instance, InvalidPathError, MetricViolationError,
+                       check_path, euclidean_costs, require_metric)
 from .instance import metric_closure as _closure
 
 
@@ -241,7 +241,13 @@ def parse_tsplib(text: str) -> Instance:
             for j in range(i + 1, n):
                 d = math.hypot(coords[i, 0] - coords[j, 0],
                                coords[i, 1] - coords[j, 1])
-                cost[i, j] = cost[j, i] = _tsplib_nint(d)
+                w = _tsplib_nint(d)
+                if w == 0.0:
+                    raise FormatError(
+                        f"nodes {i + 1} and {j + 1} are {d:.6g} apart, which "
+                        "rounds to 0 under EUC_2D; distinct nodes need a "
+                        "positive cost")
+                cost[i, j] = cost[j, i] = w
         return Instance(cost, np.zeros(n), 0, name, coords)
     if ewt == "EXPLICIT":
         if ewf == "LOWER_DIAG_ROW":
@@ -292,7 +298,12 @@ def load_instance(path, metric_closure: bool = False) -> Instance:
         inst = parse_hpt(text)
     if metric_closure:
         return _closure(inst)
-    require_metric(inst)
+    try:
+        require_metric(inst)
+    except MetricViolationError as exc:
+        raise MetricViolationError(
+            f"{path}: {exc}: pass metric_closure=True to load_instance, "
+            "or --metric-closure to hpppt") from None
     return inst
 
 

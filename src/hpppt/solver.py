@@ -11,22 +11,32 @@ quadratic dynamic program. h(s) scales the table entry by the survival
 weight before v's own termination factor.
 
 Pruning: a state is dominated when another state at the same vertex has
-visited a superset of its vertices at no greater g (1e-9 slack). Each
-vertex keeps a frontier of non-dominated expanded states; an exact
+visited a superset of its vertices at no greater g (1e-9 slack). An exact
 duplicate table (best g per (vertex, visited-set)) catches equal-set
-repeats cheaply, including ones still waiting in the queue.
+repeats cheaply, including ones still waiting in the queue. Each vertex
+also keeps a frontier of non-dominated expanded states, bucketed by the
+size of their visited set and sorted by g within a bucket. A superset of
+a k-vertex set has more than k vertices or is the same set, and the
+duplicate table has already settled the same set under the same slack, so
+a superset query scans only the buckets above k, each up to g + slack. A
+newly expanded state drops the subsets it dominates from buckets 1..k
+(bucket k holds equal sets that a cheaper duplicate displaced). Both scans
+stop at the largest size yet expanded at that vertex, so a shallow
+frontier costs next to nothing.
 
 Setting epsilon > 0 switches extraction to a focal rule: among queue
 states within (1 + epsilon) of the best f, prefer the one with fewest
 unvisited vertices. The returned cost is then at most (1 + epsilon) times
-optimal. The focal set is rebuilt lazily whenever the best f strictly
-increases; with a consistent bound that floor never decreases, so focal
-membership is never invalidated.
+optimal. A state generated within the bound joins the focal heap at once;
+one above it waits in a pending heap ordered by f. Whenever the best f
+strictly increases, the bound rises and the pending states now within it
+move to the focal heap. With a consistent bound that floor never
+decreases, so focal membership is never invalidated.
 """
 
 import heapq
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,10 +123,12 @@ def build_heuristic_table(inst: Instance) -> HeuristicTable:
     gamma = np.zeros((n, n))
     if n > 1:
         omp = 1.0 - inst.prob
+        c_inf = inst.cost.copy()
+        np.fill_diagonal(c_inf, np.inf)
+        buf = np.empty((n, n))
         for k in range(1, n):
-            m = inst.cost + gamma[:, k - 1][None, :]
-            np.fill_diagonal(m, np.inf)
-            gamma[:, k] = omp * m.min(axis=1)
+            np.add(c_inf, gamma[:, k - 1], out=buf)
+            gamma[:, k] = omp * buf.min(axis=1)
     gamma.setflags(write=False)
     return HeuristicTable(gamma)
 
@@ -179,7 +191,6 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     Ssize = [1]
     Spar = [-1]
     closed = [False]
-    in_focal = [False]
 
     h0 = float(gamma[start, n - 1]) if use_h and n > 1 else 0.0
     f0 = h0
@@ -188,14 +199,18 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
         on_generate(_mkstate(start, 0.0, Sq[0], Smask[0], 1, h0))
 
     open_heap = [(f0, n - 1, 0.0, 0) if deep else (f0, 0, 0.0, 0)]
-    focal_heap = []
-    if use_focal:
-        focal_heap.append((n - 1, f0, 0.0, 0))
-        in_focal[0] = True
+    # focal holds (krem, f, g, sid) for states within the bound; pending
+    # holds (f, sid) for the states generated above it
+    focal_heap = [(n - 1, f0, 0.0, 0)] if use_focal else []
+    pending = []
     # best g seen per (vertex, visited-set), with the owning state id
     bestg = {(start, Smask[0]): (0.0, 0)}
-    frontier_g = [[] for _ in range(n)]
-    frontier_m = [[] for _ in range(n)]
+    # bucket_g[v][k] / bucket_m[v][k]: g and mask of the expanded
+    # non-dominated states at v whose visited set has k vertices, sorted by
+    # g; each list of buckets grows to the largest k expanded at v, with
+    # None for a k not yet seen there
+    bucket_g = [[] for _ in range(n)]
+    bucket_m = [[] for _ in range(n)]
     live_open = 1
     stats.peak_open = 1
     last_fmin = -float("inf")
@@ -221,14 +236,12 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
             if fmin > last_fmin:
                 last_fmin = fmin
                 bound = (1.0 + eps) * fmin
-                for entry in open_heap:
-                    sid2 = entry[3]
-                    if (entry[0] <= bound and not closed[sid2]
-                            and not in_focal[sid2]):
-                        in_focal[sid2] = True
-                        heapq.heappush(
-                            focal_heap,
-                            (n - Ssize[sid2], entry[0], entry[2], sid2))
+                # no pending state is closed: states leave the queue only
+                # from within the bound, which pending states are not
+                while pending and pending[0][0] <= bound:
+                    f2, sid2 = heapq.heappop(pending)
+                    heapq.heappush(
+                        focal_heap, (n - Ssize[sid2], f2, Sg[sid2], sid2))
             sid = -1
             while focal_heap:
                 cand = heapq.heappop(focal_heap)[3]
@@ -253,43 +266,59 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
         v = Sv[sid]
         g = Sg[sid]
         mask = Smask[sid]
+        size = Ssize[sid]
 
         if use_pruning:
             bg = bestg.get((v, mask))
             if bg is not None and bg[1] != sid:
                 stats.pruned_extracted += 1
                 continue
-            fg = frontier_g[v]
-            fm = frontier_m[v]
+            gb = bucket_g[v]
+            mb = bucket_m[v]
             glim = g + TOL
             pruned = False
-            for i in range(len(fg)):
-                if fg[i] > glim:
-                    break
-                if fm[i] & mask == mask:
-                    pruned = True
-                    break
+            for k in range(size + 1, len(gb)):
+                fg = gb[k]
+                if fg and fg[0] <= glim:
+                    for m in mb[k][:bisect_right(fg, glim)]:
+                        if m & mask == mask:
+                            pruned = True
+                            break
+                    if pruned:
+                        break
             if pruned:
                 stats.pruned_extracted += 1
                 continue
             # drop expanded states this one dominates, then join the frontier
-            lo = bisect_left(fg, g - TOL)
-            if lo < len(fg):
-                w = lo
-                for i in range(lo, len(fg)):
-                    if mask & fm[i] == fm[i]:
-                        continue
-                    fg[w] = fg[i]
-                    fm[w] = fm[i]
-                    w += 1
-                del fg[w:]
-                del fm[w:]
-            pos = bisect_left(fg, g)
-            fg.insert(pos, g)
-            fm.insert(pos, mask)
+            glo = g - TOL
+            nb = len(gb)
+            for k in range(1, min(size + 1, nb)):
+                fg = gb[k]
+                if fg and fg[-1] >= glo:
+                    lo = bisect_left(fg, glo)
+                    fm = mb[k]
+                    w = lo
+                    for i in range(lo, len(fg)):
+                        if mask & fm[i] == fm[i]:
+                            continue
+                        fg[w] = fg[i]
+                        fm[w] = fm[i]
+                        w += 1
+                    del fg[w:]
+                    del fm[w:]
+            if nb <= size:
+                gb.extend([None] * (size + 1 - nb))
+                mb.extend([None] * (size + 1 - nb))
+            fg = gb[size]
+            if fg is None:
+                gb[size] = [g]
+                mb[size] = [mask]
+            else:
+                pos = bisect_left(fg, g)
+                fg.insert(pos, g)
+                mb[size].insert(pos, mask)
 
         stats.expansions += 1
-        size = Ssize[sid]
         q = Sq[sid]
 
         if on_expand:
@@ -327,16 +356,19 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
                 if hit is not None and g2 >= hit[0] - TOL:
                     stats.pruned_generated += 1
                     continue
-                fg = frontier_g[u]
-                fm = frontier_m[u]
+                gb = bucket_g[u]
+                mb = bucket_m[u]
                 glim = g2 + TOL
                 pruned = False
-                for i in range(len(fg)):
-                    if fg[i] > glim:
-                        break
-                    if fm[i] & m2 == m2:
-                        pruned = True
-                        break
+                for k in range(size + 2, len(gb)):
+                    fg = gb[k]
+                    if fg and fg[0] <= glim:
+                        for m in mb[k][:bisect_right(fg, glim)]:
+                            if m & m2 == m2:
+                                pruned = True
+                                break
+                        if pruned:
+                            break
                 if pruned:
                     stats.pruned_generated += 1
                     continue
@@ -351,7 +383,6 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
             Ssize.append(size + 1)
             Spar.append(sid)
             closed.append(False)
-            in_focal.append(False)
             f2 = f_row[u]
             if on_generate:
                 on_generate(_mkstate(u, g2, Sq[sid2], m2, size + 1, f2 - g2))
@@ -360,9 +391,11 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
             live_open += 1
             if live_open > stats.peak_open:
                 stats.peak_open = live_open
-            if use_focal and f2 <= bound:
-                in_focal[sid2] = True
-                heapq.heappush(focal_heap, (krem, f2, g2, sid2))
+            if use_focal:
+                if f2 <= bound:
+                    heapq.heappush(focal_heap, (krem, f2, g2, sid2))
+                else:
+                    heapq.heappush(pending, (f2, sid2))
 
     # a complete graph always has a solution path; kept for robustness
     return _result("failure")

@@ -172,7 +172,7 @@ def test_run_grid_validates_args():
         run_grid(srcs, ())
 
 
-def test_failures_become_rows_not_exceptions(tmp_path):
+def test_failures_become_rows_not_exceptions(tmp_path, capfd):
     inst = make_instance(5, 0, 2)
     path = tmp_path / "gone.hpt"
     save_instance(inst, path)
@@ -183,6 +183,13 @@ def test_failures_become_rows_not_exceptions(tmp_path):
     assert all(r["status"] == "error" for r in rows)
     assert all(r["cost"] is None for r in rows)
     assert grid_exit_code(rows) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2
+    for line, token in zip(lines, ("rpt", "greedy")):
+        assert f"{srcs[0]['name']} / {token}: FileNotFoundError: " in line
+        assert "gone.hpt" in line
 
 
 def test_exit_codes():

@@ -85,6 +85,20 @@ def test_load_rejects_triangle_violation(tmp_path):
     assert fixed.cost[1, 2] == pytest.approx(2.0)
 
 
+def test_non_metric_tsplib_error_names_the_repair(tmp_path):
+    path = tmp_path / "tri.tsp"
+    path.write_text("NAME : tri\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
+                    "EDGE_WEIGHT_FORMAT : FULL_MATRIX\nEDGE_WEIGHT_SECTION\n"
+                    "0 1 4\n1 0 2\n4 2 0\nEOF\n")
+    with pytest.raises(MetricViolationError) as err:
+        load_instance(path)
+    msg = str(err.value)
+    assert str(path) in msg
+    assert "metric_closure=True" in msg
+    assert "--metric-closure" in msg
+    assert load_instance(path, metric_closure=True).cost[0, 2] == 3.0
+
+
 EUC_TSP = """\
 NAME : right345
 TYPE : TSP
@@ -117,6 +131,14 @@ def test_tsplib_euc2d_rounds_to_nearest_int():
     inst = parse_tsplib(text)
     # hypot(1,1) = 1.414..., nint gives 1
     assert inst.cost[0, 2] == 1.0
+
+
+def test_tsplib_euc2d_zero_rounded_distance_names_both_nodes():
+    # nodes 2 (3, 0) and 3 (3.3, 0.2) are 0.36 apart
+    text = EUC_TSP.replace("3 3 4", "3 3.3 0.2")
+    with pytest.raises(FormatError,
+                       match="nodes 2 and 3 .*rounds to 0 under EUC_2D"):
+        parse_tsplib(text)
 
 
 def test_tsplib_lower_diag_row():

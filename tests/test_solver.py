@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from hpppt import (Instance, InvalidConfigError, SearchState, SolverConfig,
                    build_heuristic_table, dominates, expected_cost_q,
                    heuristic_value, oracle_solve, solve)
+from hpppt.bench import make_instance
 from support import brute_force_best, completion_table, random_instance
 
 TRI = Instance([[0, 1, 4], [1, 0, 2], [4, 2, 0]], [0.2, 0.5, 0.3], 0, "tri")
@@ -18,6 +21,35 @@ def test_heuristic_table_hand_values():
     assert gamma[2, 1] == pytest.approx(1.4)   # 0.7 * 2
     # two hops from 0: 0.8 * (1 + gamma[1,1])
     assert gamma[0, 2] == pytest.approx(1.2)
+
+
+def _reference_gamma(inst):
+    """Reference recursion: a fresh cost + gamma sum with an inf diagonal
+    for every k."""
+    n = inst.n
+    gamma = np.zeros((n, n))
+    if n > 1:
+        omp = 1.0 - inst.prob
+        for k in range(1, n):
+            m = inst.cost + gamma[:, k - 1][None, :]
+            np.fill_diagonal(m, np.inf)
+            gamma[:, k] = omp * m.min(axis=1)
+    return gamma
+
+
+def test_heuristic_table_equals_reference_formula():
+    rng = np.random.default_rng(61)
+    n_random = int(rng.integers(3, 30))
+    cases = [Instance([[0.0]], [0.3], 0),
+             Instance([[0.0, 2.5], [2.5, 0.0]], [0.1, 0.7], 1),
+             random_instance(rng, n_random, p_max=0.5),
+             random_instance(rng, 9, euclidean=False)]
+    for inst in cases:
+        got = build_heuristic_table(inst).gamma
+        want = _reference_gamma(inst)
+        assert got.shape == want.shape
+        assert (got == want).all()
+        assert not got.flags.writeable
 
 
 def test_heuristic_value_at_root():
@@ -212,3 +244,42 @@ def test_oracle_agreement_medium():
         a = solve(inst, SolverConfig(time_limit=None))
         b = oracle_solve(inst)
         assert a.cost == pytest.approx(b.cost, abs=1e-9)
+
+
+# sha256 over every search below of (status, path, repr(cost), expansions,
+# generations, pruned_extracted, pruned_generated, peak_open), recorded with
+# the unbucketed linear frontier scan and the open-heap focal rebuild.
+SEARCH_GRID_DIGEST = (
+    "1053d47abce94c44e1a8219e8312c8283eb227436bdbcca28f0b35b9998793b3")
+
+
+def _search_grid():
+    cells = [(make_instance(n, index, 3, p_max), n <= 10)
+             for n in (10, 12, 13) for p_max in (0.1, 0.9)
+             for index in (0, 1)]
+    # at n = 35 and p_max = 0.9 the survival weight falls so far that late
+    # hops add about 1e-9 to g, so the 1e-9 dominance slack decides prunes
+    cells += [(make_instance(35, index, 3, 0.9), False) for index in (0, 1)]
+    for inst, with_noh in cells:
+        for eps in (0.0, 0.02, 0.2):
+            for tie_break in ("deep", "fifo"):
+                for use_h in (True, False) if with_noh else (True,):
+                    yield inst, SolverConfig(epsilon=eps, tie_break=tie_break,
+                                             use_heuristic=use_h,
+                                             time_limit=None)
+
+
+def test_searches_match_recorded_digest():
+    """Dominance index and focal upkeep must not change any search: the
+    same path, cost bits and counters on every cell of the grid."""
+    digest = hashlib.sha256()
+    count = 0
+    for inst, cfg in _search_grid():
+        res = solve(inst, cfg)
+        s = res.stats
+        digest.update(repr((res.status, res.path, repr(res.cost),
+                            s.expansions, s.generations, s.pruned_extracted,
+                            s.pruned_generated, s.peak_open)).encode())
+        count += 1
+    assert count == 108
+    assert digest.hexdigest() == SEARCH_GRID_DIGEST
