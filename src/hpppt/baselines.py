@@ -66,7 +66,7 @@ def greedy_solve(inst: Instance) -> SolveResult:
     """Visit the unvisited vertex with the highest termination probability
     next, ties to the smaller index. Ignores edge costs entirely."""
     t0 = time.perf_counter()
-    prob = inst.prob
+    prob = inst.prob.tolist()
     order = [inst.start]
     remaining = [v for v in range(inst.n) if v != inst.start]
     remaining.sort(key=lambda u: (-prob[u], u))
@@ -79,14 +79,14 @@ def nearest_neighbor(inst: Instance) -> tuple:
     """Plain nearest-neighbor order on edge costs from the start vertex,
     ties to the smaller index."""
     n = inst.n
-    cost = inst.cost
+    cost = inst.cost.tolist()
     visited = [False] * n
     visited[inst.start] = True
     order = [inst.start]
     cur = inst.start
     for _ in range(n - 1):
         best = -1
-        best_d = np.inf
+        best_d = float("inf")
         row = cost[cur]
         for u in range(n):
             if not visited[u] and row[u] < best_d:
@@ -102,22 +102,26 @@ def two_opt_path(order, cost) -> tuple:
     """First-improvement 2-opt for an open path with a fixed first vertex
     and a free end. Reversing order[i..j] is accepted only when it shortens
     the plain path length by more than 1e-12, so the loop terminates."""
+    cost = np.asarray(cost).tolist()
     order = list(order)
     n = len(order)
     improved = True
     while improved:
         improved = False
         for i in range(1, n - 1):
-            a = order[i - 1]
-            ci = cost[a, order[i]]
+            ca = cost[order[i - 1]]
+            oi = order[i]
+            ci = ca[oi]
+            coi = cost[oi]
             for j in range(i + 1, n):
+                oj = order[j]
                 # reversing a suffix removes the right edge entirely
                 if j + 1 < n:
-                    before = ci + cost[order[j], order[j + 1]]
-                    after = cost[a, order[j]] + cost[order[i], order[j + 1]]
+                    before = ci + cost[oj][order[j + 1]]
+                    after = ca[oj] + coi[order[j + 1]]
                 else:
                     before = ci
-                    after = cost[a, order[j]]
+                    after = ca[oj]
                 if after < before - 1e-12:
                     order[i:j + 1] = reversed(order[i:j + 1])
                     improved = True

@@ -47,16 +47,17 @@ class Instance:
         if prob.shape != (n,):
             raise InvalidInstanceError(
                 f"prob length {prob.shape} does not match {n} vertices")
-        if not np.all(np.isfinite(cost)):
+        if not np.isfinite(cost).all():
             raise InvalidInstanceError("cost entries must be finite")
-        if np.any(np.diagonal(cost) != 0.0):
+        if np.diagonal(cost).any():
             raise InvalidInstanceError("cost diagonal must be zero")
-        off = ~np.eye(n, dtype=bool)
-        if np.any(cost[off] <= 0.0):
+        # the n zeros of the diagonal are the only entries allowed <= 0
+        if np.count_nonzero(cost <= 0.0) != n:
             raise InvalidInstanceError("off-diagonal costs must be positive")
         # strict: probability 1 would make later vertices unreachable in
-        # expectation and divides by zero in the heuristic
-        if np.any(prob < 0.0) or np.any(prob >= 1.0):
+        # expectation and divides by zero in the heuristic; written so that
+        # NaN fails
+        if not ((prob >= 0.0).all() and (prob < 1.0).all()):
             raise InvalidInstanceError("probabilities must lie in [0, 1)")
         if not (0 <= int(start) < n):
             raise InvalidInstanceError(f"start {start} out of range")

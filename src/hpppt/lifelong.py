@@ -171,7 +171,7 @@ def plan_next(cost, beliefs, surviving, current: int, planner: str,
         return current
     verts = [current] + others
     idx = np.array(verts)
-    sub_cost = cost[np.ix_(idx, idx)]
+    sub_cost = cost[idx][:, idx]
     sub_prob = _clamped(np.asarray(beliefs)[idx])
     if current not in surviving:
         sub_prob = sub_prob.copy()
@@ -223,7 +223,7 @@ def run_mission(inst: Instance, truth: GroundTruth, sensor: SensorModel,
                 surviving.discard(current)
                 retired = (current, "absent")
         steps.append(MissionStep(step_no, t, current, z,
-                                 tuple(float(b) for b in beliefs), retired))
+                                 tuple(beliefs.tolist()), retired))
         if not surviving:
             break
         if step_no >= cfg.max_steps:

@@ -31,7 +31,17 @@ optimal. A state generated within the bound joins the focal heap at once;
 one above it waits in a pending heap ordered by f. Whenever the best f
 strictly increases, the bound rises and the pending states now within it
 move to the focal heap. With a consistent bound that floor never
-decreases, so focal membership is never invalidated.
+decreases, so focal membership is never invalidated. Focal never runs dry
+while the open heap holds a live state: every pending state lies above
+the bound, every other open state within the bound sits in the focal
+heap, and the open-heap top, at f = fmin, is within the bound.
+
+Children are scored on Python floats read from lists made once per solve:
+g2 = g + q * c(v, u), and f2 = g + q * (c(v, u) + gamma[u, krem]) only for
+children that survive the duplicate and superset checks. These are the
+same IEEE double operations in the same order as whole-row numpy
+arithmetic, and Python fuses no multiply-add, so every bit, and hence every
+search, is the same as with numpy rows.
 """
 
 import heapq
@@ -120,17 +130,20 @@ def build_heuristic_table(inst: Instance) -> HeuristicTable:
     (cost(v, u) + gamma[u, k-1]). Revisits are allowed, which keeps the
     recursion quadratic and the bound admissible."""
     n = inst.n
-    gamma = np.zeros((n, n))
+    # built k-major, rows[k, v] = gamma[v, k], so that each step writes one
+    # contiguous row; buf[u, v] = cost(v, u) + gamma[u, k-1]
+    rows = np.zeros((n, n))
     if n > 1:
         omp = 1.0 - inst.prob
-        c_inf = inst.cost.copy()
-        np.fill_diagonal(c_inf, np.inf)
+        c_in = inst.cost.T.copy()
+        np.fill_diagonal(c_in, np.inf)
         buf = np.empty((n, n))
         for k in range(1, n):
-            np.add(c_inf, gamma[:, k - 1], out=buf)
-            gamma[:, k] = omp * buf.min(axis=1)
-    gamma.setflags(write=False)
-    return HeuristicTable(gamma)
+            np.add(c_in, rows[k - 1][:, None], out=buf)
+            np.minimum.reduce(buf, axis=0, out=rows[k])
+            rows[k] *= omp
+    rows.setflags(write=False)
+    return HeuristicTable(rows.T)
 
 
 def heuristic_value(table: HeuristicTable, inst: Instance,
@@ -140,10 +153,6 @@ def heuristic_value(table: HeuristicTable, inst: Instance,
     if k <= 0:
         return 0.0
     return float(s.q / (1.0 - inst.prob[s.v]) * table.gamma[s.v, k])
-
-
-def _mkstate(v, g, q, mask, size, h):
-    return SearchState(v=v, g=g, q=q, visited=mask, size=size, h=h)
 
 
 def solve(inst: Instance, cfg: SolverConfig | None = None, *,
@@ -160,51 +169,57 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     """
     if cfg is None:
         cfg = SolverConfig()
-    if cfg.epsilon < 0.0:
+    # each rule is written so that NaN fails it
+    if not cfg.epsilon >= 0.0:
         raise InvalidConfigError(f"epsilon must be >= 0, got {cfg.epsilon}")
     if cfg.tie_break not in ("deep", "fifo"):
         raise InvalidConfigError(f"unknown tie_break {cfg.tie_break!r}")
-    if cfg.time_limit is not None and cfg.time_limit <= 0:
+    if cfg.time_limit is not None and not cfg.time_limit > 0:
         raise InvalidConfigError("time_limit must be positive")
 
     t0 = time.perf_counter()
     limit = cfg.time_limit if cfg.time_limit is not None else float("inf")
     n = inst.n
     start = inst.start
-    cost = inst.cost
+    cost = inst.cost.tolist()
     omp_list = (1.0 - inst.prob).tolist()
-    use_h = cfg.use_heuristic
     use_pruning = cfg.use_pruning
     eps = cfg.epsilon
     use_focal = eps > 0.0
     deep = cfg.tie_break == "deep"
-    gamma = build_heuristic_table(inst).gamma if use_h else None
+    if cfg.use_heuristic:
+        # hrows[k][v] = gamma[v, k]
+        hrows = build_heuristic_table(inst).gamma.T.tolist()
+    else:
+        # c + 0.0 == c, so f = g + q * (c + 0.0) is g to the bit
+        hrows = [[0.0] * n] * n
 
     full = (1 << n) - 1
-    stats = SearchStats()
+    expansions = 0
+    generations = 1
+    pruned_extracted = 0
+    pruned_generated = 0
 
-    # state store, indexed by state id
-    Sv = [start]
-    Sg = [0.0]
-    Sq = [omp_list[start]]
-    Smask = [1 << start]
-    Ssize = [1]
-    Spar = [-1]
-    closed = [False]
+    # state store, indexed by state id: (v, q, mask, size, parent id); g
+    # travels in the heap entries
+    states = [(start, omp_list[start], 1 << start, 1, -1)]
+    # focal mode only: states already extracted, whose open-heap entries are
+    # stale; in exact mode every state enters the open heap once
+    closed = set()
 
-    h0 = float(gamma[start, n - 1]) if use_h and n > 1 else 0.0
-    f0 = h0
-    stats.generations = 1
+    f0 = hrows[n - 1][start] if n > 1 else 0.0
     if on_generate:
-        on_generate(_mkstate(start, 0.0, Sq[0], Smask[0], 1, h0))
+        on_generate(SearchState(start, 0.0, states[0][1], 1 << start, 1, f0))
 
+    # open entries are (f, krem, g, sid) when deep, (f, sid, g, sid) when
+    # fifo: g and sid sit at the same places as in the focal entries
     open_heap = [(f0, n - 1, 0.0, 0) if deep else (f0, 0, 0.0, 0)]
     # focal holds (krem, f, g, sid) for states within the bound; pending
-    # holds (f, sid) for the states generated above it
+    # holds (f, sid, g) for the states generated above it
     focal_heap = [(n - 1, f0, 0.0, 0)] if use_focal else []
     pending = []
     # best g seen per (vertex, visited-set), with the owning state id
-    bestg = {(start, Smask[0]): (0.0, 0)}
+    bestg = {(start, 1 << start): (0.0, 0)}
     # bucket_g[v][k] / bucket_m[v][k]: g and mask of the expanded
     # non-dominated states at v whose visited set has k vertices, sorted by
     # g; each list of buckets grows to the largest k expanded at v, with
@@ -212,24 +227,24 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     bucket_g = [[] for _ in range(n)]
     bucket_m = [[] for _ in range(n)]
     live_open = 1
-    stats.peak_open = 1
+    peak_open = 1
     last_fmin = -float("inf")
     bound = f0
     TOL = DOMINANCE_TOL
     iters = 0
-
-    def _result(status, path=None, cost_val=None):
-        stats.wall_time = time.perf_counter() - t0
-        return SolveResult(status, path, cost_val, stats)
+    status, path, best = "failure", None, None
+    heappush = heapq.heappush
+    heappop = heapq.heappop
 
     while open_heap:
         iters += 1
         if (iters & 255) == 0 and time.perf_counter() - t0 > limit:
-            return _result("timeout")
+            status = "timeout"
+            break
 
         if use_focal:
-            while open_heap and closed[open_heap[0][3]]:
-                heapq.heappop(open_heap)
+            while open_heap and open_heap[0][3] in closed:
+                heappop(open_heap)
             if not open_heap:
                 break
             fmin = open_heap[0][0]
@@ -239,59 +254,46 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
                 # no pending state is closed: states leave the queue only
                 # from within the bound, which pending states are not
                 while pending and pending[0][0] <= bound:
-                    f2, sid2 = heapq.heappop(pending)
-                    heapq.heappush(
-                        focal_heap, (n - Ssize[sid2], f2, Sg[sid2], sid2))
-            sid = -1
-            while focal_heap:
-                cand = heapq.heappop(focal_heap)[3]
-                if not closed[cand]:
-                    sid = cand
+                    f2, sid2, g2 = heappop(pending)
+                    heappush(focal_heap, (n - states[sid2][3], f2, g2, sid2))
+            # the open-heap top is within the bound, so a live entry waits
+            # in focal (see the module docstring)
+            while True:
+                _, _, g, sid = heappop(focal_heap)
+                if sid not in closed:
                     break
-            if sid < 0:
-                # focal drained to stale entries; fall back to the best f
-                sid = heapq.heappop(open_heap)[3]
+            closed.add(sid)
         else:
-            sid = -1
-            while open_heap:
-                cand = heapq.heappop(open_heap)[3]
-                if not closed[cand]:
-                    sid = cand
-                    break
-            if sid < 0:
-                break
+            _, _, g, sid = heappop(open_heap)
 
-        closed[sid] = True
         live_open -= 1
-        v = Sv[sid]
-        g = Sg[sid]
-        mask = Smask[sid]
-        size = Ssize[sid]
+        v, q, mask, size, _ = states[sid]
 
         if use_pruning:
             bg = bestg.get((v, mask))
             if bg is not None and bg[1] != sid:
-                stats.pruned_extracted += 1
+                pruned_extracted += 1
                 continue
             gb = bucket_g[v]
             mb = bucket_m[v]
-            glim = g + TOL
-            pruned = False
-            for k in range(size + 1, len(gb)):
-                fg = gb[k]
-                if fg and fg[0] <= glim:
-                    for m in mb[k][:bisect_right(fg, glim)]:
-                        if m & mask == mask:
-                            pruned = True
+            nb = len(gb)
+            if nb > size + 1:
+                glim = g + TOL
+                pruned = False
+                for k in range(size + 1, nb):
+                    fg = gb[k]
+                    if fg and fg[0] <= glim:
+                        for m in mb[k][:bisect_right(fg, glim)]:
+                            if m & mask == mask:
+                                pruned = True
+                                break
+                        if pruned:
                             break
-                    if pruned:
-                        break
-            if pruned:
-                stats.pruned_extracted += 1
-                continue
+                if pruned:
+                    pruned_extracted += 1
+                    continue
             # drop expanded states this one dominates, then join the frontier
             glo = g - TOL
-            nb = len(gb)
             for k in range(1, min(size + 1, nb)):
                 fg = gb[k]
                 if fg and fg[-1] >= glo:
@@ -318,84 +320,83 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
                 fg.insert(pos, g)
                 mb[size].insert(pos, mask)
 
-        stats.expansions += 1
-        q = Sq[sid]
+        expansions += 1
 
         if on_expand:
-            hh = (q / omp_list[v] * gamma[v, n - size]
-                  if use_h and size < n else 0.0)
-            on_expand(_mkstate(v, g, q, mask, size, hh))
+            hh = q / omp_list[v] * hrows[n - size][v] if size < n else 0.0
+            on_expand(SearchState(v, g, q, mask, size, hh))
 
         if mask == full:
             order = []
             cur = sid
             while cur >= 0:
-                order.append(Sv[cur])
-                cur = Spar[cur]
+                order.append(states[cur][0])
+                cur = states[cur][4]
             order.reverse()
-            return _result("ok", tuple(order), g)
+            status, path, best = "ok", tuple(order), g
+            break
 
-        krem = n - size - 1
+        # children: g2 = g + q * c and f2 = g + q * (c + h), the same IEEE
+        # operations in the same order as whole-row numpy arithmetic
+        size2 = size + 1
+        krem = n - size2
         crow = cost[v]
-        g_row = (g + q * crow).tolist()
-        if use_h:
-            f_row = (g + q * (crow + gamma[:, krem])).tolist()
-        else:
-            f_row = g_row
+        hrow = hrows[krem]
+        generations += n - size
         rem = full & ~mask
         while rem:
             lsb = rem & -rem
             rem ^= lsb
             u = lsb.bit_length() - 1
-            stats.generations += 1
-            g2 = g_row[u]
+            c = crow[u]
+            g2 = g + q * c
             m2 = mask | lsb
             if use_pruning:
                 key = (u, m2)
                 hit = bestg.get(key)
                 if hit is not None and g2 >= hit[0] - TOL:
-                    stats.pruned_generated += 1
+                    pruned_generated += 1
                     continue
                 gb = bucket_g[u]
-                mb = bucket_m[u]
-                glim = g2 + TOL
-                pruned = False
-                for k in range(size + 2, len(gb)):
-                    fg = gb[k]
-                    if fg and fg[0] <= glim:
-                        for m in mb[k][:bisect_right(fg, glim)]:
-                            if m & m2 == m2:
-                                pruned = True
+                if len(gb) > size2 + 1:
+                    mb = bucket_m[u]
+                    glim = g2 + TOL
+                    pruned = False
+                    for k in range(size2 + 1, len(gb)):
+                        fg = gb[k]
+                        if fg and fg[0] <= glim:
+                            for m in mb[k][:bisect_right(fg, glim)]:
+                                if m & m2 == m2:
+                                    pruned = True
+                                    break
+                            if pruned:
                                 break
-                        if pruned:
-                            break
-                if pruned:
-                    stats.pruned_generated += 1
-                    continue
-                sid2 = len(Sv)
+                    if pruned:
+                        pruned_generated += 1
+                        continue
+                sid2 = len(states)
                 bestg[key] = (g2, sid2)
             else:
-                sid2 = len(Sv)
-            Sv.append(u)
-            Sg.append(g2)
-            Sq.append(q * omp_list[u])
-            Smask.append(m2)
-            Ssize.append(size + 1)
-            Spar.append(sid)
-            closed.append(False)
-            f2 = f_row[u]
+                sid2 = len(states)
+            q2 = q * omp_list[u]
+            states.append((u, q2, m2, size2, sid))
+            f2 = g + q * (c + hrow[u])
             if on_generate:
-                on_generate(_mkstate(u, g2, Sq[sid2], m2, size + 1, f2 - g2))
-            heapq.heappush(open_heap,
-                           (f2, krem, g2, sid2) if deep else (f2, sid2, g2, sid2))
+                on_generate(SearchState(u, g2, q2, m2, size2, f2 - g2))
+            heappush(open_heap,
+                     (f2, krem, g2, sid2) if deep else (f2, sid2, g2, sid2))
             live_open += 1
-            if live_open > stats.peak_open:
-                stats.peak_open = live_open
             if use_focal:
                 if f2 <= bound:
-                    heapq.heappush(focal_heap, (krem, f2, g2, sid2))
+                    heappush(focal_heap, (krem, f2, g2, sid2))
                 else:
-                    heapq.heappush(pending, (f2, sid2))
+                    heappush(pending, (f2, sid2, g2))
+        if live_open > peak_open:
+            peak_open = live_open
 
-    # a complete graph always has a solution path; kept for robustness
-    return _result("failure")
+    # status stays "failure" only if the queue drains, which a complete
+    # graph never allows; kept for robustness
+    stats = SearchStats(expansions, generations, pruned_extracted,
+                        pruned_generated, peak_open,
+                        time.perf_counter() - t0)
+    return SolveResult(status, path, best, stats)

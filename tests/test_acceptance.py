@@ -10,6 +10,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from hpppt import (GroundTruth, Instance, MissionConfig, SensorModel,
                    SolverConfig, blind_hpp_solve, expected_cost_direct,
@@ -234,6 +235,7 @@ def test_a10_search_missions_classify_and_terminate():
           f"complete, misclassified per seed {counts}, {dt:.1f}s)")
 
 
+@pytest.mark.slow
 def test_a11_exploration_orderings():
     t0 = time.perf_counter()
     world = forest_world(size=100, n_trees=90, seed=0)

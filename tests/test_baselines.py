@@ -118,3 +118,66 @@ def test_exact_never_beaten_by_baselines():
         best = solve(inst).cost
         assert best <= greedy_solve(inst).cost + 1e-9
         assert best <= blind_hpp_solve(inst).cost + 1e-9
+
+
+def _reference_nearest_neighbor(inst):
+    """Nearest neighbor read through numpy indexing, ties to the smaller
+    index."""
+    order = [inst.start]
+    left = [v for v in range(inst.n) if v != inst.start]
+    while left:
+        cur = order[-1]
+        best = min(left, key=lambda u: (inst.cost[cur, u], u))
+        left.remove(best)
+        order.append(best)
+    return tuple(order)
+
+
+def _reference_two_opt(order, cost):
+    """First-improvement 2-opt read through numpy indexing: the first
+    (i, j) in row-major order whose reversal shortens the path by more
+    than 1e-12, repeated until none does."""
+    order = list(order)
+    n = len(order)
+    while True:
+        for i, j in itertools.combinations(range(1, n), 2):
+            a = order[i - 1]
+            if j + 1 < n:
+                before = cost[a, order[i]] + cost[order[j], order[j + 1]]
+                after = cost[a, order[j]] + cost[order[i], order[j + 1]]
+            else:
+                before = cost[a, order[i]]
+                after = cost[a, order[j]]
+            if after < before - 1e-12:
+                order[i:j + 1] = order[i:j + 1][::-1]
+                break
+        else:
+            return tuple(order)
+
+
+def test_nearest_neighbor_and_two_opt_match_numpy_reference():
+    rng = np.random.default_rng(97)
+    cases = [random_instance(rng, int(rng.integers(3, 25)))
+             for _ in range(12)]
+    cases += [random_instance(rng, 15, euclidean=False)]
+    # equal costs everywhere: every choice is a tie, and no reversal
+    # shortens the path by more than 1e-12
+    cases += [Instance(np.ones((9, 9)) - np.eye(9), np.zeros(9), 4)]
+    # costs from {1, 2}: many equal sums on both sides of a move
+    m = rng.integers(1, 3, (12, 12)).astype(float)
+    m = np.maximum(m, m.T)
+    np.fill_diagonal(m, 0.0)
+    cases += [Instance(m, np.zeros(12), 2)]
+    # moves that gain 5e-13, under the 1e-12 threshold, and 2e-12, over it
+    near = np.ones((8, 8)) - np.eye(8)
+    for (a, b), gain in (((0, 2), 5e-13), ((1, 4), 2e-12), ((3, 7), 5e-13)):
+        near[a, b] = near[b, a] = 1.0 - gain
+    cases += [Instance(near, np.zeros(8), 0)]
+    for inst in cases:
+        nn = nearest_neighbor(inst)
+        assert nn == _reference_nearest_neighbor(inst)
+        by_index = (inst.start,) + tuple(v for v in range(inst.n)
+                                         if v != inst.start)
+        for order in (nn, by_index):
+            assert (two_opt_path(order, inst.cost)
+                    == _reference_two_opt(order, inst.cost))

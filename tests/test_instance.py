@@ -59,11 +59,15 @@ def test_validation_rejects_bad_matrices():
     with pytest.raises(InvalidInstanceError):
         Instance([[0, -1], [1, 0]], [0.1, 0.1], 0)
     with pytest.raises(InvalidInstanceError):
+        Instance([[0, 0], [1, 0]], [0.1, 0.1], 0)  # zero off the diagonal
+    with pytest.raises(InvalidInstanceError):
         Instance([[0, np.inf], [1, 0]], [0.1, 0.1], 0)
     with pytest.raises(InvalidInstanceError):
         Instance([[0, 1], [1, 0]], [0.1, 1.0], 0)  # prob must stay below 1
     with pytest.raises(InvalidInstanceError):
         Instance([[0, 1], [1, 0]], [0.1, -0.1], 0)
+    with pytest.raises(InvalidInstanceError):
+        Instance([[0, 1, 1], [1, 0, 1], [1, 1, 0]], [0.1, np.nan, 0.2], 0)
     with pytest.raises(InvalidInstanceError):
         Instance([[0, 1], [1, 0]], [0.1, 0.1], 2)
     with pytest.raises(InvalidInstanceError):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -153,3 +154,31 @@ def test_plan_next_skips_retired_vertices():
     # vertex 1 already classified: only 2 survives, so go towards 2
     nxt = plan_next(cost, [0.5, 0.9, 0.5], {0, 2}, 0, "rpt")
     assert nxt == 2
+
+
+# sha256 over to_json_lines() of every mission in _digest_missions, recorded
+# while the replan path still did its per-state arithmetic on numpy rows
+MISSION_DIGEST = (
+    "065a50bb56de0a293ed2ba8d40399d5a4c6b081c804aef9dcacf7ebb72d88191")
+
+
+def _digest_missions():
+    for n, graph_seed, targets in ((14, 21, [3, 9]), (20, 22, [4, 11, 17])):
+        inst = _mission_instance(n, seed=graph_seed)
+        truth = GroundTruth.from_targets(n, targets)
+        for planner in ("rpt", "greedy", "blind"):
+            for seed in (0, 1):
+                yield run_mission(inst, truth, SENSOR,
+                                  MissionConfig(planner=planner, seed=seed))
+
+
+def test_missions_match_recorded_digest():
+    """Replans must keep every move: the same steps, beliefs and times."""
+    digest = hashlib.sha256()
+    count = 0
+    for log in _digest_missions():
+        assert log.status == "complete"
+        digest.update(log.to_json_lines().encode())
+        count += 1
+    assert count == 12
+    assert digest.hexdigest() == MISSION_DIGEST

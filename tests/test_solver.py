@@ -43,7 +43,12 @@ def test_heuristic_table_equals_reference_formula():
     cases = [Instance([[0.0]], [0.3], 0),
              Instance([[0.0, 2.5], [2.5, 0.0]], [0.1, 0.7], 1),
              random_instance(rng, n_random, p_max=0.5),
-             random_instance(rng, 9, euclidean=False)]
+             random_instance(rng, 9, euclidean=False),
+             random_instance(rng, 40, p_max=0.5)]
+    # asymmetric costs: the recursion reads cost(v, u), not cost(u, v)
+    asym = rng.uniform(1.0, 50.0, (9, 9))
+    np.fill_diagonal(asym, 0.0)
+    cases.append(Instance(asym, rng.uniform(0.0, 0.9, 9), 3))
     for inst in cases:
         got = build_heuristic_table(inst).gamma
         want = _reference_gamma(inst)
@@ -210,6 +215,11 @@ def test_config_validation():
         solve(TRI, SolverConfig(tie_break="lifo"))
     with pytest.raises(InvalidConfigError):
         solve(TRI, SolverConfig(time_limit=0.0))
+    # NaN epsilon used to run an exact search, NaN time_limit never expired
+    with pytest.raises(InvalidConfigError):
+        solve(TRI, SolverConfig(epsilon=float("nan")))
+    with pytest.raises(InvalidConfigError):
+        solve(TRI, SolverConfig(time_limit=float("nan")))
 
 
 def test_heuristic_admissible_against_exact_completion():
