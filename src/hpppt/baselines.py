@@ -62,9 +62,11 @@ def oracle_solve(inst: Instance, cap: int = ORACLE_CAP) -> SolveResult:
     return _result(path, expected_cost_q(inst, path), t0)
 
 
-def greedy_solve(inst: Instance) -> SolveResult:
+def greedy_solve(inst: Instance, *, score: bool = True) -> SolveResult:
     """Visit the unvisited vertex with the highest termination probability
-    next, ties to the smaller index. Ignores edge costs entirely."""
+    next, ties to the smaller index. Ignores edge costs entirely.
+    score=False leaves the cost None, for callers that read only the
+    path."""
     t0 = time.perf_counter()
     prob = inst.prob.tolist()
     order = [inst.start]
@@ -72,7 +74,7 @@ def greedy_solve(inst: Instance) -> SolveResult:
     remaining.sort(key=lambda u: (-prob[u], u))
     order.extend(remaining)
     path = tuple(order)
-    return _result(path, expected_cost_q(inst, path), t0)
+    return _result(path, expected_cost_q(inst, path) if score else None, t0)
 
 
 def nearest_neighbor(inst: Instance) -> tuple:
@@ -131,13 +133,16 @@ def two_opt_path(order, cost) -> tuple:
     return tuple(order)
 
 
-def blind_hpp_solve(inst: Instance, tour=None) -> SolveResult:
+def blind_hpp_solve(inst: Instance, tour=None, *,
+                    score: bool = True) -> SolveResult:
     """Shortest-path heuristic that ignores probabilities when routing:
     nearest neighbor improved by 2-opt, scored afterwards by expected cost.
-    A precomputed visiting order can be supplied instead via tour."""
+    A precomputed visiting order can be supplied instead via tour.
+    score=False leaves the cost None, for callers that read only the
+    path."""
     t0 = time.perf_counter()
     if tour is not None:
         path = check_path(inst, tour, full=True)
     else:
         path = two_opt_path(nearest_neighbor(inst), inst.cost)
-    return _result(path, expected_cost_q(inst, path), t0)
+    return _result(path, expected_cost_q(inst, path) if score else None, t0)

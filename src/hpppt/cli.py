@@ -107,6 +107,7 @@ def cmd_solve(args) -> int:
         "pruned_extracted": res.stats.pruned_extracted,
         "pruned_generated": res.stats.pruned_generated,
         "peak_open": res.stats.peak_open,
+        "root_bound": res.stats.root_bound,
         "wall_time": round(res.stats.wall_time, 6),
     }
     _emit(json.dumps(record) + "\n", args.out)

@@ -368,9 +368,9 @@ def _plan_goal(inst: Instance, vertex_cells, planner: str,
                cfg: ExploreConfig):
     """First goal cell of the planned visiting order."""
     if planner == "greedy":
-        res = greedy_solve(inst)
+        res = greedy_solve(inst, score=False)
     elif planner == "blind":
-        res = blind_hpp_solve(inst)
+        res = blind_hpp_solve(inst, score=False)
     else:
         eps = cfg.focal_eps if inst.n > cfg.vertex_cap else 0.0
         res = solve(inst, SolverConfig(epsilon=eps,

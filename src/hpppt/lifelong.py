@@ -180,9 +180,9 @@ def plan_next(cost, beliefs, surviving, current: int, planner: str,
     if planner == "rpt":
         res = solve(sub, SolverConfig(time_limit=time_limit))
     elif planner == "greedy":
-        res = greedy_solve(sub)
+        res = greedy_solve(sub, score=False)
     elif planner == "blind":
-        res = blind_hpp_solve(sub)
+        res = blind_hpp_solve(sub, score=False)
     else:
         raise ValueError(f"unknown planner {planner!r}")
     if res.status != "ok":

@@ -5,10 +5,49 @@ cost g and the survival weight q, the product of (1 - prob) over visited
 vertices. Expanding along an edge adds q * cost to g, so g is exactly the
 expected cost of the partial path.
 
-Admissible lower bound: a table gamma[v][k] gives the cheapest discounted
-way to make k more hops from v when revisits are allowed, computed by a
-quadratic dynamic program. h(s) scales the table entry by the survival
-weight before v's own termination factor.
+Admissible lower bounds. A table gamma[v][k] gives the cheapest
+discounted way to make k more hops from v when revisits are allowed,
+computed by a quadratic dynamic program; h(s) scales the table entry by
+the survival weight before v's own termination factor. The table ignores
+which vertices remain, so at low termination probabilities it reaches
+only about 0.4 of the optimum at the root.
+
+The pairing bound looks at the remaining set R instead. A child u of an
+expanded state must still enter every w in R - {u} exactly once, from
+some x in R - {w}, so that hop costs at least E(w) = min over x in
+R - {w} of c(x, w), which is the same for every child of the state. The
+j-th hop (j = 0, 1, ...) is weighted by q(u) times the product of 1 - p
+over the j vertices entered before it, which is at least q(u) times the
+product of the j smallest 1 - p in R - {u}. These weights fall with j, so
+by the rearrangement inequality no order of entries costs less than the
+sum of the entries sorted ascending, each times the weight of the same
+rank. The bound needs no triangle inequality. For each remaining set it
+costs a scan of per-vertex source lists sorted once per solve, two sorts
+of R and four prefix sums, after which each child's bound takes O(1)
+(_pairing_tails); states at different vertices with the same remaining
+set share the result.
+
+The root rule picks the bounds per solve. build_heuristic_table also
+evaluates the pairing bound at the start state, from the entry minima of
+its cost matrix; only when that beats gamma's root value is a child's f
+the larger of the two bounds. On other inputs the pairing term rarely
+pays for its cost per expansion, and the search is exactly the
+gamma-only one.
+
+The pairing bound is consistent. At a state at v with remaining set R,
+the hop to u costs at least u's entry, since v is one of its sources,
+and the child's weights times 1 - p(u) are at least the state's weights
+of the next ranks, as {u} plus the j smallest factors of R - {u} are
+j + 1 factors of R. So the hop cost plus the child's bound pairs the
+state's entries with its weights in some order, which by the
+rearrangement inequality is no less than the state's bound. The max of
+two consistent bounds is consistent too. In floating point the prefix
+sums can still leave a child's f a few ulps below its parent's, so a
+solve that uses the pairing term also applies pathmax (Mérő 1984): a
+child's f is raised to its parent's f. That keeps the bound admissible,
+since the parent's f is a lower bound on every completion through it,
+and it makes the least f in the queue exactly non-decreasing, which
+exact extraction order and the focal floor below rely on.
 
 Pruning: a state is dominated when another state at the same vertex has
 visited a superset of its vertices at no greater g (1e-9 slack). An exact
@@ -20,7 +59,8 @@ a k-vertex set has more than k vertices or is the same set, and the
 duplicate table has already settled the same set under the same slack, so
 a superset query scans only the buckets above k, each up to g + slack. A
 newly expanded state drops the subsets it dominates from buckets 1..k
-(bucket k holds equal sets that a cheaper duplicate displaced). Both scans
+(bucket k holds equal sets that a cheaper duplicate displaced), visiting
+only the buckets that a per-vertex bit set marks non-empty. Both scans
 stop at the largest size yet expanded at that vertex, so a shallow
 frontier costs next to nothing.
 
@@ -30,18 +70,20 @@ unvisited vertices. The returned cost is then at most (1 + epsilon) times
 optimal. A state generated within the bound joins the focal heap at once;
 one above it waits in a pending heap ordered by f. Whenever the best f
 strictly increases, the bound rises and the pending states now within it
-move to the focal heap. With a consistent bound that floor never
-decreases, so focal membership is never invalidated. Focal never runs dry
-while the open heap holds a live state: every pending state lies above
-the bound, every other open state within the bound sits in the focal
-heap, and the open-heap top, at f = fmin, is within the bound.
+move to the focal heap. With gamma alone, which is consistent, or with
+pathmax, that floor never decreases, so focal membership is never
+invalidated. Focal never runs dry while the open heap holds a live state:
+every pending state lies above the bound, every other open state within
+the bound sits in the focal heap, and the open-heap top, at f = fmin, is
+within the bound.
 
 Children are scored on Python floats read from lists made once per solve:
 g2 = g + q * c(v, u), and f2 = g + q * (c(v, u) + gamma[u, krem]) only for
-children that survive the duplicate and superset checks. These are the
-same IEEE double operations in the same order as whole-row numpy
-arithmetic, and Python fuses no multiply-add, so every bit, and hence every
-search, is the same as with numpy rows.
+children that survive the duplicate and superset checks, then raised to
+the pairing bound and by pathmax where the root rule applies. These are
+the same IEEE double operations in the same order as whole-row numpy
+arithmetic, and Python fuses no multiply-add, so every bit, and hence
+every search, is the same as with numpy rows.
 """
 
 import heapq
@@ -78,6 +120,7 @@ class SearchStats:
     pruned_generated: int = 0
     peak_open: int = 0
     wall_time: float = 0.0
+    root_bound: float | None = None  # f of the start state; None: no search
 
     @property
     def prunes(self) -> int:
@@ -88,7 +131,7 @@ class SearchStats:
 class SolveResult:
     status: str  # "ok", "timeout" or "failure"
     path: tuple | None
-    cost: float | None
+    cost: float | None  # None unless ok; None from an unscored baseline
     stats: SearchStats = field(default_factory=SearchStats)
 
 
@@ -123,16 +166,19 @@ def dominates(s1: SearchState, s2: SearchState) -> bool:
 @dataclass(frozen=True)
 class HeuristicTable:
     gamma: np.ndarray  # gamma[v, k]: discounted k-hop relaxation from v
+    pairing_root: float = 0.0  # pairing bound at the start state
 
 
 def build_heuristic_table(inst: Instance) -> HeuristicTable:
     """gamma[v, 0] = 0; gamma[v, k] = (1-p(v)) * min over u != v of
     (cost(v, u) + gamma[u, k-1]). Revisits are allowed, which keeps the
-    recursion quadratic and the bound admissible."""
+    recursion quadratic and the bound admissible. Also evaluates the
+    pairing bound at the start state (module docstring)."""
     n = inst.n
     # built k-major, rows[k, v] = gamma[v, k], so that each step writes one
     # contiguous row; buf[u, v] = cost(v, u) + gamma[u, k-1]
     rows = np.zeros((n, n))
+    pairing_root = 0.0
     if n > 1:
         omp = 1.0 - inst.prob
         c_in = inst.cost.T.copy()
@@ -142,8 +188,21 @@ def build_heuristic_table(inst: Instance) -> HeuristicTable:
             np.add(c_in, rows[k - 1][:, None], out=buf)
             np.minimum.reduce(buf, axis=0, out=rows[k])
             rows[k] *= omp
+        # at the root any vertex may enter any other; on lists, where these
+        # few steps cost less than as numpy calls
+        entry = c_in.min(axis=1).tolist()
+        factor = omp.tolist()
+        q = factor.pop(inst.start)
+        del entry[inst.start]
+        entry.sort()
+        factor.sort()
+        weight = 1.0
+        for e, f in zip(entry, factor):
+            pairing_root += e * weight
+            weight *= f
+        pairing_root *= q
     rows.setflags(write=False)
-    return HeuristicTable(rows.T)
+    return HeuristicTable(rows.T, pairing_root)
 
 
 def heuristic_value(table: HeuristicTable, inst: Instance,
@@ -155,6 +214,66 @@ def heuristic_value(table: HeuristicTable, inst: Instance,
     return float(s.q / (1.0 - inst.prob[s.v]) * table.gamma[s.v, k])
 
 
+def _pairing_tails(rem, sources, entry_cost, omp):
+    """Map every u in the bit set rem (at least two vertices) to the
+    pairing bound on the cost of visiting rem - {u} from u at unit survival
+    weight (module docstring). sources[w] lists the vertices by ascending
+    cost(x, w), w itself last, and entry_cost[w] those costs."""
+    ent = {}
+    r = rem
+    while r:
+        lsb = r & -r
+        r ^= lsb
+        w = lsb.bit_length() - 1
+        # the first source in rem, found before w as rem holds another vertex
+        row = sources[w]
+        i = 0
+        while not rem >> row[i] & 1:
+            i += 1
+        ent[w] = entry_cost[w][i]
+    by_e = sorted(ent, key=ent.__getitem__)
+    # e ascending with a zero sentinel, o ascending, p[j] the product of the
+    # j smallest o; sa..sd are exclusive prefix sums of e[j] p[j],
+    # e[j+1] p[j], e[j] p[j+1] and e[j+1] p[j+1]
+    e = [ent[w] for w in by_e]
+    e.append(0.0)
+    o = []
+    rank_o = {}
+    sa = [0.0]
+    sb = [0.0]
+    sc = [0.0]
+    sd = [0.0]
+    a = b = c = d = 0.0
+    p = 1.0
+    for j, u in enumerate(sorted(ent, key=omp.__getitem__)):
+        rank_o[u] = j
+        om = omp[u]
+        o.append(om)
+        p1 = p * om
+        ej = e[j]
+        ej1 = e[j + 1]
+        a += ej * p
+        b += ej1 * p
+        c += ej * p1
+        d += ej1 * p1
+        sa.append(a)
+        sb.append(b)
+        sc.append(c)
+        sd.append(d)
+        p = p1
+    # leaving out u shifts e up from u's rank r and o up from its rank s;
+    # the products past s are p[j + 1] / o[s]
+    dk = sd[-2]
+    tails = {}
+    for r, u in enumerate(by_e):
+        s = rank_o[u]
+        if r <= s:
+            tails[u] = sa[r] + sb[s + 1] - sb[r] + (dk - sd[s + 1]) / o[s]
+        else:
+            tails[u] = sa[s + 1] + (sc[r] - sc[s + 1] + dk - sd[r]) / o[s]
+    return tails
+
+
 def solve(inst: Instance, cfg: SolverConfig | None = None, *,
           on_generate=None, on_expand=None) -> SolveResult:
     """Search for the minimum expected-cost solution path from inst.start.
@@ -162,7 +281,8 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     epsilon = 0 returns an optimal path; epsilon > 0 returns one within
     (1 + epsilon) of optimal, usually much faster on large instances.
     on_generate/on_expand, when given, receive a SearchState for every
-    generated/expanded state (instrumentation hooks, they slow the search).
+    generated/expanded state, with the h of the key it was queued with
+    (instrumentation hooks, they slow the search).
 
     Optimality of the pruning rules relies on costs satisfying the
     triangle inequality; see instance.require_metric.
@@ -187,12 +307,29 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     eps = cfg.epsilon
     use_focal = eps > 0.0
     deep = cfg.tie_break == "deep"
+    f0 = 0.0
+    use_pair = False
     if cfg.use_heuristic:
+        table = build_heuristic_table(inst)
         # hrows[k][v] = gamma[v, k]
-        hrows = build_heuristic_table(inst).gamma.T.tolist()
+        hrows = table.gamma.T.tolist()
+        f0 = hrows[n - 1][start]
+        use_pair = table.pairing_root > f0
     else:
         # c + 0.0 == c, so f = g + q * (c + 0.0) is g to the bit
         hrows = [[0.0] * n] * n
+    if use_pair:
+        f0 = table.pairing_root
+        # sources[w] lists every x by ascending cost(x, w), w itself last;
+        # entry_cost[w] holds those costs
+        c_in = inst.cost.T.copy()
+        np.fill_diagonal(c_in, np.inf)
+        by_cost = np.argsort(c_in, axis=1, kind="stable")
+        sources = by_cost.tolist()
+        entry_cost = np.take_along_axis(c_in, by_cost, axis=1).tolist()
+        # the bounds depend on the remaining set only, which states at
+        # different vertices share
+        tails_of = {}
 
     full = (1 << n) - 1
     expansions = 0
@@ -207,7 +344,6 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     # stale; in exact mode every state enters the open heap once
     closed = set()
 
-    f0 = hrows[n - 1][start] if n > 1 else 0.0
     if on_generate:
         on_generate(SearchState(start, 0.0, states[0][1], 1 << start, 1, f0))
 
@@ -223,9 +359,11 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     # bucket_g[v][k] / bucket_m[v][k]: g and mask of the expanded
     # non-dominated states at v whose visited set has k vertices, sorted by
     # g; each list of buckets grows to the largest k expanded at v, with
-    # None for a k not yet seen there
+    # None for a k not yet seen there. Bit k of occupied[v] is set while
+    # bucket k at v is non-empty.
     bucket_g = [[] for _ in range(n)]
     bucket_m = [[] for _ in range(n)]
+    occupied = [0] * n
     live_open = 1
     peak_open = 1
     last_fmin = -float("inf")
@@ -259,12 +397,12 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
             # the open-heap top is within the bound, so a live entry waits
             # in focal (see the module docstring)
             while True:
-                _, _, g, sid = heappop(focal_heap)
+                _, f, g, sid = heappop(focal_heap)
                 if sid not in closed:
                     break
             closed.add(sid)
         else:
-            _, _, g, sid = heappop(open_heap)
+            f, _, g, sid = heappop(open_heap)
 
         live_open -= 1
         v, q, mask, size, _ = states[sid]
@@ -292,11 +430,17 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
                 if pruned:
                     pruned_extracted += 1
                     continue
-            # drop expanded states this one dominates, then join the frontier
+            # drop expanded states this one dominates from the non-empty
+            # buckets 1..size, then join the frontier
             glo = g - TOL
-            for k in range(1, min(size + 1, nb)):
+            occ = occupied[v]
+            bits = occ & ((2 << size) - 1)
+            while bits:
+                lsb = bits & -bits
+                bits ^= lsb
+                k = lsb.bit_length() - 1
                 fg = gb[k]
-                if fg and fg[-1] >= glo:
+                if fg[-1] >= glo:
                     lo = bisect_left(fg, glo)
                     fm = mb[k]
                     w = lo
@@ -308,6 +452,9 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
                         w += 1
                     del fg[w:]
                     del fm[w:]
+                    if not w:
+                        occ ^= lsb
+            occupied[v] = occ | (1 << size)
             if nb <= size:
                 gb.extend([None] * (size + 1 - nb))
                 mb.extend([None] * (size + 1 - nb))
@@ -323,8 +470,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
         expansions += 1
 
         if on_expand:
-            hh = q / omp_list[v] * hrows[n - size][v] if size < n else 0.0
-            on_expand(SearchState(v, g, q, mask, size, hh))
+            on_expand(SearchState(v, g, q, mask, size, f - g))
 
         if mask == full:
             order = []
@@ -344,6 +490,12 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
         hrow = hrows[krem]
         generations += n - size
         rem = full & ~mask
+        pair = use_pair and krem > 0
+        if pair:
+            tails = tails_of.get(rem)
+            if tails is None:
+                tails = _pairing_tails(rem, sources, entry_cost, omp_list)
+                tails_of[rem] = tails
         while rem:
             lsb = rem & -rem
             rem ^= lsb
@@ -381,6 +533,14 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
             q2 = q * omp_list[u]
             states.append((u, q2, m2, size2, sid))
             f2 = g + q * (c + hrow[u])
+            if use_pair:
+                # the larger bound, and pathmax: never below the parent's f
+                if pair:
+                    fp = g2 + q2 * tails[u]
+                    if fp > f2:
+                        f2 = fp
+                if f2 < f:
+                    f2 = f
             if on_generate:
                 on_generate(SearchState(u, g2, q2, m2, size2, f2 - g2))
             heappush(open_heap,
@@ -398,5 +558,5 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     # graph never allows; kept for robustness
     stats = SearchStats(expansions, generations, pruned_extracted,
                         pruned_generated, peak_open,
-                        time.perf_counter() - t0)
+                        time.perf_counter() - t0, f0)
     return SolveResult(status, path, best, stats)

@@ -55,6 +55,8 @@ def test_solve_emits_json_record(tmp_path, capsys):
     assert rec["cost"] > 0
     assert rec["expansions"] >= 1
     assert rec["generations"] >= rec["expansions"]
+    # the root key under the bound in use: a lower bound on the cost
+    assert 0.0 < rec["root_bound"] <= rec["cost"] + 1e-9
 
 
 def test_solve_oracle_matches_exact(tmp_path, capsys):

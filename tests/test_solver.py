@@ -7,6 +7,7 @@ from hpppt import (Instance, InvalidConfigError, SearchState, SolverConfig,
                    build_heuristic_table, dominates, expected_cost_q,
                    heuristic_value, oracle_solve, solve)
 from hpppt.bench import make_instance
+from hpppt.solver import _pairing_tails
 from support import brute_force_best, completion_table, random_instance
 
 TRI = Instance([[0, 1, 4], [1, 0, 2], [4, 2, 0]], [0.2, 0.5, 0.3], 0, "tri")
@@ -256,11 +257,165 @@ def test_oracle_agreement_medium():
         assert a.cost == pytest.approx(b.cost, abs=1e-9)
 
 
+def _uses_pairing(inst):
+    """The root rule: the pairing bound joins gamma when its root value is
+    the larger one."""
+    table = build_heuristic_table(inst)
+    return table.pairing_root > table.gamma[inst.start, inst.n - 1]
+
+
+def _optimum(inst):
+    """Exact optimum from the support DP, independent of the solver."""
+    full = (1 << inst.n) - 1
+    finish = completion_table(inst)
+    return (1.0 - inst.prob[inst.start]) * finish(
+        inst.start, full & ~(1 << inst.start))
+
+
+def test_pairing_tails_match_direct_formula():
+    """The prefix-sum evaluation equals sorting the entries of rem - {u}
+    ascending and pairing them with the running products of its smallest
+    1 - p, for every child u."""
+    rng = np.random.default_rng(71)
+    for euclidean in (True, False):
+        for _ in range(20):
+            n = int(rng.integers(3, 12))
+            inst = random_instance(rng, n, p_max=0.9, euclidean=euclidean)
+            cost = inst.cost.tolist()
+            omp = (1.0 - inst.prob).tolist()
+            cost_in = inst.cost.T.copy()
+            np.fill_diagonal(cost_in, np.inf)
+            rem = int(rng.integers(0, 1 << n))
+            members = [u for u in range(n) if rem >> u & 1]
+            if len(members) < 2:
+                continue
+            order = np.argsort(cost_in, axis=1, kind="stable")
+            tails = _pairing_tails(rem, order.tolist(), np.take_along_axis(
+                cost_in, order, axis=1).tolist(), omp)
+            assert sorted(tails) == members
+            for u in members:
+                rest = [w for w in members if w != u]
+                ent = sorted(min(cost[x][w] for x in members if x != w)
+                             for w in rest)
+                weights = np.cumprod([1.0] + sorted(omp[w] for w in rest))
+                want = float(np.dot(ent, weights[:len(ent)]))
+                assert tails[u] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_root_bound_reports_root_key():
+    for inst in (make_instance(12, 1, 3, 0.1), make_instance(12, 0, 3, 0.9)):
+        table = build_heuristic_table(inst)
+        gamma_root = table.gamma[inst.start, inst.n - 1]
+        res = solve(inst, SolverConfig(time_limit=None))
+        assert res.stats.root_bound == max(gamma_root, table.pairing_root)
+        assert res.stats.root_bound <= res.cost
+        off = solve(inst, SolverConfig(use_heuristic=False, time_limit=None))
+        assert off.stats.root_bound == 0.0
+    assert _uses_pairing(make_instance(12, 1, 3, 0.1))
+    assert not _uses_pairing(make_instance(12, 0, 3, 0.9))
+
+
+def test_exact_and_focal_costs_on_make_instance_grid():
+    """Metric inputs only: superset dominance needs the triangle
+    inequality. Brute force is affordable up to n = 8; the support DP
+    covers every size."""
+    pairing = 0
+    for n in range(6, 12):
+        for p_max in (0.02, 0.1, 0.5, 0.9):
+            for index in (0, 1):
+                inst = make_instance(n, index, 5, p_max)
+                pairing += _uses_pairing(inst)
+                opt = _optimum(inst)
+                if n <= 8:
+                    assert brute_force_best(inst)[1] == pytest.approx(
+                        opt, rel=1e-12)
+                res = solve(inst, SolverConfig(time_limit=None))
+                assert res.status == "ok"
+                assert abs(res.cost - opt) <= 1e-9 * max(1.0, opt)
+                for eps in (0.02, 0.2):
+                    res = solve(inst, SolverConfig(epsilon=eps,
+                                                   time_limit=None))
+                    assert res.status == "ok"
+                    assert res.cost <= (1.0 + eps) * opt + 1e-9 * opt
+    # the grid exercises both sides of the root rule
+    assert 0 < pairing < 48
+
+
+def test_reported_h_admissible_with_pairing_bound():
+    """A04 on low-p and non-metric inputs, where the pairing term is in
+    use: the h reported for every generated state, pathmax included, is at
+    most the true completion, and on some states it beats gamma."""
+    rng = np.random.default_rng(83)
+    cases = [random_instance(rng, int(rng.integers(5, 10)), p_max=p_max)
+             for p_max in (0.02, 0.1) for _ in range(8)]
+    cases += [random_instance(rng, int(rng.integers(5, 10)), p_max=p_max,
+                              euclidean=False)
+              for p_max in (0.1, 0.5, 0.9) for _ in range(8)]
+    above_gamma = 0
+    for inst in cases:
+        table = build_heuristic_table(inst)
+        finish = completion_table(inst)
+        full = (1 << inst.n) - 1
+        for eps in (0.0, 0.2):
+            generated = []
+            expanded = []
+            solve(inst, SolverConfig(epsilon=eps, time_limit=None),
+                  on_generate=generated.append, on_expand=expanded.append)
+            keys = {}
+            for s in generated:
+                hstar = s.q * finish(s.v, full & ~s.visited)
+                assert s.h <= hstar + 1e-12 * max(1.0, hstar)
+                above_gamma += s.h > heuristic_value(table, inst, s) + 1e-9
+                keys[(s.v, s.visited, s.g)] = s.h
+            # on_expand reports the h of the key the state was queued with
+            for s in expanded:
+                assert s.h == keys[(s.v, s.visited, s.g)]
+    assert above_gamma > 0
+
+
+def test_pairing_keys_never_fall_below_parent():
+    """max(gamma, pairing) is consistent and pathmax absorbs rounding, so
+    no child is queued below its parent's key and exact search expands in
+    key order. on_expand runs just before the children it generates."""
+    rng = np.random.default_rng(89)
+    cases = [make_instance(n, index, 3, 0.1)
+             for n, index in ((10, 0), (12, 1), (13, 0), (13, 1))]
+    cases += [random_instance(rng, 9, p_max=0.1, euclidean=False)
+              for _ in range(10)]
+    used = 0
+    for inst in cases:
+        used += _uses_pairing(inst)
+        for eps in (0.0, 0.2):
+            events = []
+            solve(inst, SolverConfig(epsilon=eps, time_limit=None),
+                  on_expand=lambda s: events.append((True, s.f)),
+                  on_generate=lambda s: events.append((False, s.f)))
+            parent = None
+            expanded = []
+            for is_expand, f in events[1:]:
+                if is_expand:
+                    parent = f
+                    expanded.append(f)
+                else:
+                    assert f >= parent - 1e-12 * max(1.0, parent)
+            if eps == 0.0:
+                for a, b in zip(expanded, expanded[1:]):
+                    assert b >= a - 1e-12 * max(1.0, a)
+    assert used >= 10
+
+
 # sha256 over every search below of (status, path, repr(cost), expansions,
-# generations, pruned_extracted, pruned_generated, peak_open), recorded with
-# the unbucketed linear frontier scan and the open-heap focal rebuild.
-SEARCH_GRID_DIGEST = (
-    "1053d47abce94c44e1a8219e8312c8283eb227436bdbcca28f0b35b9998793b3")
+# generations, pruned_extracted, pruned_generated, peak_open), in grid
+# order, split by the root rule. The searches that keep gamma alone were
+# recorded with the unbucketed linear frontier scan and the open-heap focal
+# rebuild, and again before the pairing bound existed. The searches with the
+# pairing bound were recorded with it; each of their exact costs equals the
+# gamma-only search's within 1e-9, and each focal cost is within (1 + eps)
+# of it.
+GAMMA_GRID_DIGEST = (
+    "3d93ce735b30d3d78f0b6e0922a5c3d2f447ac127d86eb948f06309b08c5027e")
+PAIRING_GRID_DIGEST = (
+    "05572ac583ea9193ca428cdc88405df9d14166899e12b10b491941773b528e6d")
 
 
 def _search_grid():
@@ -280,16 +435,20 @@ def _search_grid():
 
 
 def test_searches_match_recorded_digest():
-    """Dominance index and focal upkeep must not change any search: the
-    same path, cost bits and counters on every cell of the grid."""
-    digest = hashlib.sha256()
-    count = 0
+    """Dominance index, focal upkeep and the drop step must not change any
+    search: the same path, cost bits and counters on every cell of the
+    grid."""
+    digests = {False: hashlib.sha256(), True: hashlib.sha256()}
+    counts = {False: 0, True: 0}
     for inst, cfg in _search_grid():
         res = solve(inst, cfg)
         s = res.stats
-        digest.update(repr((res.status, res.path, repr(res.cost),
-                            s.expansions, s.generations, s.pruned_extracted,
-                            s.pruned_generated, s.peak_open)).encode())
-        count += 1
-    assert count == 108
-    assert digest.hexdigest() == SEARCH_GRID_DIGEST
+        pairing = cfg.use_heuristic and _uses_pairing(inst)
+        digests[pairing].update(repr((
+            res.status, res.path, repr(res.cost), s.expansions,
+            s.generations, s.pruned_extracted, s.pruned_generated,
+            s.peak_open)).encode())
+        counts[pairing] += 1
+    assert counts == {False: 72, True: 36}
+    assert digests[False].hexdigest() == GAMMA_GRID_DIGEST
+    assert digests[True].hexdigest() == PAIRING_GRID_DIGEST
