@@ -162,8 +162,7 @@ def _clamped(beliefs) -> np.ndarray:
     return np.clip(beliefs, 0.0, BELIEF_CLAMP)
 
 
-def plan_next(cost, beliefs, surviving, current: int, planner: str,
-              time_limit: float | None = None) -> int:
+def plan_next(cost, beliefs, surviving, current: int, planner: str) -> int:
     """Next vertex to visit: solve a full visiting order over the surviving
     vertices from the robot position and take its first move."""
     others = sorted(v for v in surviving if v != current)
@@ -178,7 +177,8 @@ def plan_next(cost, beliefs, surviving, current: int, planner: str,
         sub_prob[0] = 0.0
     sub = Instance(sub_cost, sub_prob, 0, "replan")
     if planner == "rpt":
-        res = solve(sub, SolverConfig(time_limit=time_limit))
+        # unbounded: a timed-out replan would silently take the fallback
+        res = solve(sub, SolverConfig(time_limit=None))
     elif planner == "greedy":
         res = greedy_solve(sub, score=False)
     elif planner == "blind":

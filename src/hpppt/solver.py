@@ -57,12 +57,12 @@ also keeps a frontier of non-dominated expanded states, bucketed by the
 size of their visited set and sorted by g within a bucket. A superset of
 a k-vertex set has more than k vertices or is the same set, and the
 duplicate table has already settled the same set under the same slack, so
-a superset query scans only the buckets above k, each up to g + slack. A
-newly expanded state drops the subsets it dominates from buckets 1..k
-(bucket k holds equal sets that a cheaper duplicate displaced), visiting
-only the buckets that a per-vertex bit set marks non-empty. Both scans
-stop at the largest size yet expanded at that vertex, so a shallow
-frontier costs next to nothing.
+a superset query (_has_superset) scans only the buckets above k, each up
+to g + slack. A newly expanded state joins the frontier (_join_frontier):
+it drops the subsets it dominates from buckets 1..k (bucket k holds equal
+sets that a cheaper duplicate displaced), visiting only the buckets that
+a per-vertex bit set marks non-empty. Both scans stop at the largest size
+yet expanded at that vertex, so a shallow frontier costs next to nothing.
 
 Setting epsilon > 0 switches extraction to a focal rule: among queue
 states within (1 + epsilon) of the best f, prefer the one with fewest
@@ -111,6 +111,16 @@ class SolverConfig:
     time_limit: float | None = DEFAULT_TIME_LIMIT
     tie_break: str = "deep"  # "deep": prefer larger visited sets; "fifo"
 
+    def __post_init__(self):
+        # each rule is written so that NaN fails it
+        if not self.epsilon >= 0.0:
+            raise InvalidConfigError(
+                f"epsilon must be >= 0, got {self.epsilon}")
+        if self.tie_break not in ("deep", "fifo"):
+            raise InvalidConfigError(f"unknown tie_break {self.tie_break!r}")
+        if self.time_limit is not None and not self.time_limit > 0:
+            raise InvalidConfigError("time_limit must be positive")
+
 
 @dataclass
 class SearchStats:
@@ -144,7 +154,6 @@ class SearchState:
     visited: int
     size: int
     h: float = 0.0
-    parent: "SearchState | None" = None
 
     @property
     def f(self) -> float:
@@ -274,6 +283,65 @@ def _pairing_tails(rem, sources, entry_cost, omp):
     return tails
 
 
+def _has_superset(gb, mb, size, mask, glim):
+    """True when one vertex's frontier, bucket lists gb (g) and mb (masks),
+    holds a superset of mask with more than size vertices at g <= glim.
+    Buckets are indexed by set size and sorted by g; None or [] is empty."""
+    for k in range(size + 1, len(gb)):
+        fg = gb[k]
+        if fg and fg[0] <= glim:
+            for m in mb[k][:bisect_right(fg, glim)]:
+                if m & mask == mask:
+                    return True
+    return False
+
+
+def _join_frontier(gb, mb, occ, size, mask, g):
+    """Add an expanded state to one vertex's frontier (see _has_superset),
+    whose buckets reach index size: drop the states it dominates from the
+    non-empty buckets 1..size, which the bit set occ marks, then insert it
+    into bucket size in g order. Returns the new occ."""
+    glo = g - DOMINANCE_TOL
+    bits = occ & ((2 << size) - 1)
+    while bits:
+        lsb = bits & -bits
+        bits ^= lsb
+        k = lsb.bit_length() - 1
+        fg = gb[k]
+        if fg[-1] >= glo:
+            lo = bisect_left(fg, glo)
+            fm = mb[k]
+            w = lo
+            for i in range(lo, len(fg)):
+                if mask & fm[i] == fm[i]:
+                    continue
+                fg[w] = fg[i]
+                fm[w] = fm[i]
+                w += 1
+            del fg[w:]
+            del fm[w:]
+            if not w:
+                occ ^= lsb
+    fg = gb[size]
+    if fg is None:
+        gb[size] = [g]
+        mb[size] = [mask]
+    else:
+        pos = bisect_left(fg, g)
+        fg.insert(pos, g)
+        mb[size].insert(pos, mask)
+    return occ | (1 << size)
+
+
+def _path_to(states, sid):
+    """Vertices from the start to state sid, following parent ids."""
+    order = []
+    while sid >= 0:
+        order.append(states[sid][0])
+        sid = states[sid][4]
+    return tuple(reversed(order))
+
+
 def solve(inst: Instance, cfg: SolverConfig | None = None, *,
           on_generate=None, on_expand=None) -> SolveResult:
     """Search for the minimum expected-cost solution path from inst.start.
@@ -289,13 +357,6 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     """
     if cfg is None:
         cfg = SolverConfig()
-    # each rule is written so that NaN fails it
-    if not cfg.epsilon >= 0.0:
-        raise InvalidConfigError(f"epsilon must be >= 0, got {cfg.epsilon}")
-    if cfg.tie_break not in ("deep", "fifo"):
-        raise InvalidConfigError(f"unknown tie_break {cfg.tie_break!r}")
-    if cfg.time_limit is not None and not cfg.time_limit > 0:
-        raise InvalidConfigError("time_limit must be positive")
 
     t0 = time.perf_counter()
     limit = cfg.time_limit if cfg.time_limit is not None else float("inf")
@@ -415,57 +476,13 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
             gb = bucket_g[v]
             mb = bucket_m[v]
             nb = len(gb)
-            if nb > size + 1:
-                glim = g + TOL
-                pruned = False
-                for k in range(size + 1, nb):
-                    fg = gb[k]
-                    if fg and fg[0] <= glim:
-                        for m in mb[k][:bisect_right(fg, glim)]:
-                            if m & mask == mask:
-                                pruned = True
-                                break
-                        if pruned:
-                            break
-                if pruned:
-                    pruned_extracted += 1
-                    continue
-            # drop expanded states this one dominates from the non-empty
-            # buckets 1..size, then join the frontier
-            glo = g - TOL
-            occ = occupied[v]
-            bits = occ & ((2 << size) - 1)
-            while bits:
-                lsb = bits & -bits
-                bits ^= lsb
-                k = lsb.bit_length() - 1
-                fg = gb[k]
-                if fg[-1] >= glo:
-                    lo = bisect_left(fg, glo)
-                    fm = mb[k]
-                    w = lo
-                    for i in range(lo, len(fg)):
-                        if mask & fm[i] == fm[i]:
-                            continue
-                        fg[w] = fg[i]
-                        fm[w] = fm[i]
-                        w += 1
-                    del fg[w:]
-                    del fm[w:]
-                    if not w:
-                        occ ^= lsb
-            occupied[v] = occ | (1 << size)
+            if nb > size + 1 and _has_superset(gb, mb, size, mask, g + TOL):
+                pruned_extracted += 1
+                continue
             if nb <= size:
                 gb.extend([None] * (size + 1 - nb))
                 mb.extend([None] * (size + 1 - nb))
-            fg = gb[size]
-            if fg is None:
-                gb[size] = [g]
-                mb[size] = [mask]
-            else:
-                pos = bisect_left(fg, g)
-                fg.insert(pos, g)
-                mb[size].insert(pos, mask)
+            occupied[v] = _join_frontier(gb, mb, occupied[v], size, mask, g)
 
         expansions += 1
 
@@ -473,13 +490,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
             on_expand(SearchState(v, g, q, mask, size, f - g))
 
         if mask == full:
-            order = []
-            cur = sid
-            while cur >= 0:
-                order.append(states[cur][0])
-                cur = states[cur][4]
-            order.reverse()
-            status, path, best = "ok", tuple(order), g
+            status, path, best = "ok", _path_to(states, sid), g
             break
 
         # children: g2 = g + q * c and f2 = g + q * (c + h), the same IEEE
@@ -510,22 +521,10 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
                     pruned_generated += 1
                     continue
                 gb = bucket_g[u]
-                if len(gb) > size2 + 1:
-                    mb = bucket_m[u]
-                    glim = g2 + TOL
-                    pruned = False
-                    for k in range(size2 + 1, len(gb)):
-                        fg = gb[k]
-                        if fg and fg[0] <= glim:
-                            for m in mb[k][:bisect_right(fg, glim)]:
-                                if m & m2 == m2:
-                                    pruned = True
-                                    break
-                            if pruned:
-                                break
-                    if pruned:
-                        pruned_generated += 1
-                        continue
+                if len(gb) > size2 + 1 and _has_superset(
+                        gb, bucket_m[u], size2, m2, g2 + TOL):
+                    pruned_generated += 1
+                    continue
                 sid2 = len(states)
                 bestg[key] = (g2, sid2)
             else:

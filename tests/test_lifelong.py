@@ -8,7 +8,9 @@ from hpppt import (DegenerateUpdateError, GroundTruth, Instance,
                    MissionConfig, SensorModel, generate_random, predict,
                    run_mission, update)
 from hpppt.generate import assign_probabilities
+import hpppt.lifelong
 from hpppt.lifelong import plan_next
+from hpppt.solver import SolveResult
 
 SENSOR = SensorModel(0.8, 0.4)
 
@@ -154,6 +156,25 @@ def test_plan_next_skips_retired_vertices():
     # vertex 1 already classified: only 2 survives, so go towards 2
     nxt = plan_next(cost, [0.5, 0.9, 0.5], {0, 2}, 0, "rpt")
     assert nxt == 2
+
+
+def test_plan_next_falls_back_to_nearest_survivor(monkeypatch):
+    """A replan that does not return ok moves to the cheapest survivor,
+    the smaller index on ties; rpt replans run without a time limit."""
+    configs = []
+
+    def timed_out(inst, cfg):
+        configs.append(cfg)
+        return SolveResult("timeout", None, None)
+
+    monkeypatch.setattr(hpppt.lifelong, "solve", timed_out)
+    cost = np.array([[0, 5, 3, 3], [5, 0, 4, 4], [3, 4, 0, 2], [3, 4, 2, 0]],
+                    dtype=float)
+    beliefs = [0.5, 0.9, 0.5, 0.1]
+    assert plan_next(cost, beliefs, {0, 1, 2, 3}, 0, "rpt") == 2
+    assert plan_next(cost, beliefs, {1, 3}, 0, "rpt") == 3
+    assert plan_next(cost, beliefs, {0, 1, 2, 3}, 2, "rpt") == 3
+    assert [cfg.time_limit for cfg in configs] == [None, None, None]
 
 
 # sha256 over to_json_lines() of every mission in _digest_missions, recorded
