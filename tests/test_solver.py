@@ -452,3 +452,23 @@ def test_searches_match_recorded_digest():
     assert counts == {False: 72, True: 36}
     assert digests[False].hexdigest() == GAMMA_GRID_DIGEST
     assert digests[True].hexdigest() == PAIRING_GRID_DIGEST
+
+
+# sha256 over every search of _search_grid() of (status, path, repr(cost),
+# expansions, generations, pruned_extracted), in grid order: which states a
+# search extracts, in which order, and what it returns. A change that only
+# drops states the search never extracts leaves this hash as it is, while
+# the counts of generated prunes and of the peak queue may move.
+SEARCH_IDENTITY_DIGEST = (
+    "9879a3c0dc63bc7d335f595f74a9cabaaacf6f25b6046f8c0f3921bd20d3f89f")
+
+
+def test_searches_keep_recorded_identity():
+    digest = hashlib.sha256()
+    for inst, cfg in _search_grid():
+        res = solve(inst, cfg)
+        s = res.stats
+        digest.update(repr((
+            res.status, res.path, repr(res.cost), s.expansions,
+            s.generations, s.pruned_extracted)).encode())
+    assert digest.hexdigest() == SEARCH_IDENTITY_DIGEST
