@@ -107,6 +107,10 @@ def two_opt_path(order, cost) -> tuple:
     cost = np.asarray(cost).tolist()
     order = list(order)
     n = len(order)
+    # a pair whose four positions all lie before the last reversed segment
+    # did not improve in the pass that made the reversal and is unchanged
+    # since, so each pass starts j at the segment's start minus one
+    jmin = 0
     improved = True
     while improved:
         improved = False
@@ -115,7 +119,7 @@ def two_opt_path(order, cost) -> tuple:
             oi = order[i]
             ci = ca[oi]
             coi = cost[oi]
-            for j in range(i + 1, n):
+            for j in range(max(i + 1, jmin), n):
                 oj = order[j]
                 # reversing a suffix removes the right edge entirely
                 if j + 1 < n:
@@ -126,6 +130,7 @@ def two_opt_path(order, cost) -> tuple:
                     after = ca[oj]
                 if after < before - 1e-12:
                     order[i:j + 1] = reversed(order[i:j + 1])
+                    jmin = i - 1
                     improved = True
                     break
             if improved:

@@ -106,8 +106,10 @@ def cmd_solve(args) -> int:
         "generations": res.stats.generations,
         "pruned_extracted": res.stats.pruned_extracted,
         "pruned_generated": res.stats.pruned_generated,
+        "pruned_bound": res.stats.pruned_bound,
         "peak_open": res.stats.peak_open,
         "root_bound": res.stats.root_bound,
+        "upper_bound": res.stats.upper_bound,
         "wall_time": round(res.stats.wall_time, 6),
     }
     _emit(json.dumps(record) + "\n", args.out)

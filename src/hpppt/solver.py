@@ -77,13 +77,55 @@ every pending state lies above the bound, every other open state within
 the bound sits in the focal heap, and the open-heap top, at f = fmin, is
 within the bound.
 
+The incumbent cut. Before the search, _dive walks from the start, always
+to the unvisited vertex u with the least c(v, u) + gamma[u, krem], ties to
+the smaller index, and returns that path and its expected cost U, an upper
+bound on the optimum C*. With pruning on, a child whose gamma key
+g + q * (c + gamma[u, krem]) exceeds
+
+    cut = (1 + epsilon) * (U + 2 n * slack) * (1 + 1e-9)
+
+(slack the 1e-9 of dominance) is dropped before any other work on it and
+counted in pruned_bound. On a metric input the search then extracts the
+same states in the same order, so the path, the cost bits, expansions,
+generations and pruned_extracted stay the same; only pruned_generated and
+peak_open fall. The argument, in exact arithmetic:
+- Until the goal is extracted, the queue holds a live state whose f is at
+  most C* + (2n - 1) slack: the state of an optimal path or, where that
+  was pruned, the state that pruned it, whose best completion is at most
+  one slack dearer (a superset may skip the vertices it already visited,
+  by the triangle inequality). Along the way the duplicate table adds a
+  net slack at most once per set size, as a displacing state is cheaper
+  by more than a slack, and superset dominance at most once per larger
+  size it jumps to. So every extracted f, exact or focal, is at most
+  (1 + epsilon) * (C* + (2n - 1) slack).
+- A child's key is at least its gamma key, as the pairing term and
+  pathmax only raise it. So a cut child is never extracted, and it never
+  joins a frontier. Its one other effect would be its duplicate-table
+  entry: the states at its (vertex, visited-set) pair that it would
+  displace or reject. At one pair q, gamma and the pairing tail are fixed,
+  so each key there is g plus the same constant, and every such state has
+  g at least the cut child's less a slack: its key lies above the cut less
+  a slack, above every extracted f. A state that the two searches queue
+  differently for that reason is therefore never extracted either. Nor
+  does it set the focal floor, as the live state of the first point lies
+  below it, and removing states leaves the order of the others in every
+  heap as it was.
+The margin spends one of its 2n slacks there. A run of later children at
+one pair whose g each fall less than a slack below the last could carry
+the difference further; the factor 1 + 1e-9, which also absorbs rounding
+(far below 1e-9 relative), leaves U * 1e-9 more for that. Without the
+triangle inequality superset dominance is unsound anyway, and the cut can
+drain the queue; solve then returns the incumbent's path and U as ok.
+
 Children are scored on Python floats read from lists made once per solve:
-g2 = g + q * c(v, u), and f2 = g + q * (c(v, u) + gamma[u, krem]) only for
-children that survive the duplicate and superset checks, then raised to
-the pairing bound and by pathmax where the root rule applies. These are
-the same IEEE double operations in the same order as whole-row numpy
-arithmetic, and Python fuses no multiply-add, so every bit, and hence
-every search, is the same as with numpy rows.
+f2 = g + q * (c(v, u) + gamma[u, krem]) first, for the cut, then
+g2 = g + q * c(v, u) for children within it, with f2 raised to the
+pairing bound and by pathmax where the root rule applies to children that
+survive the duplicate and superset checks. These are the same IEEE double
+operations in the same order as whole-row numpy arithmetic, and Python
+fuses no multiply-add, so every bit, and hence every search, is the same
+as with numpy rows.
 """
 
 import heapq
@@ -131,15 +173,18 @@ class SearchStats:
     peak_open: int = 0
     wall_time: float = 0.0
     root_bound: float | None = None  # f of the start state; None: no search
+    pruned_bound: int = 0  # children whose key lay above the incumbent cut
+    upper_bound: float | None = None  # the incumbent's cost; None: no search
 
     @property
     def prunes(self) -> int:
-        return self.pruned_extracted + self.pruned_generated
+        return (self.pruned_extracted + self.pruned_generated
+                + self.pruned_bound)
 
 
 @dataclass
 class SolveResult:
-    status: str  # "ok", "timeout" or "failure"
+    status: str  # "ok" or "timeout"
     path: tuple | None
     cost: float | None  # None unless ok; None from an unscored baseline
     stats: SearchStats = field(default_factory=SearchStats)
@@ -333,6 +378,32 @@ def _join_frontier(gb, mb, occ, size, mask, g):
     return occ | (1 << size)
 
 
+def _dive(cost, hrows, omp, start):
+    """The incumbent: from start, always move to the unvisited vertex u
+    with the least cost(v, u) + gamma[u, krem], ties to the smaller index.
+    Returns the path and its expected cost, summed as the search sums g."""
+    left = [u for u in range(len(cost)) if u != start]
+    path = [start]
+    v = start
+    g = 0.0
+    q = omp[start]
+    for krem in range(len(left) - 1, -1, -1):
+        crow = cost[v]
+        hrow = hrows[krem]
+        v = left[0]
+        best = crow[v] + hrow[v]
+        for u in left:
+            key = crow[u] + hrow[u]
+            if key < best:
+                v = u
+                best = key
+        left.remove(v)
+        path.append(v)
+        g += q * crow[v]
+        q *= omp[v]
+    return tuple(path), g
+
+
 def _path_to(states, sid):
     """Vertices from the start to state sid, following parent ids."""
     order = []
@@ -391,12 +462,17 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
         # the bounds depend on the remaining set only, which states at
         # different vertices share
         tails_of = {}
+    dive_path, upper = _dive(cost, hrows, omp_list, start)
+    # no child above the cut can change the search (module docstring)
+    cut = ((1.0 + eps) * (upper + 2 * n * DOMINANCE_TOL) * (1.0 + 1e-9)
+           if use_pruning else float("inf"))
 
     full = (1 << n) - 1
     expansions = 0
     generations = 1
     pruned_extracted = 0
     pruned_generated = 0
+    pruned_bound = 0
 
     # state store, indexed by state id: (v, q, mask, size, parent id); g
     # travels in the heap entries
@@ -431,7 +507,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     bound = f0
     TOL = DOMINANCE_TOL
     iters = 0
-    status, path, best = "failure", None, None
+    status, path, best = None, None, None
     heappush = heapq.heappush
     heappop = heapq.heappop
 
@@ -493,7 +569,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
             status, path, best = "ok", _path_to(states, sid), g
             break
 
-        # children: g2 = g + q * c and f2 = g + q * (c + h), the same IEEE
+        # children: f2 = g + q * (c + h) and g2 = g + q * c, the same IEEE
         # operations in the same order as whole-row numpy arithmetic
         size2 = size + 1
         krem = n - size2
@@ -512,6 +588,10 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
             rem ^= lsb
             u = lsb.bit_length() - 1
             c = crow[u]
+            f2 = g + q * (c + hrow[u])
+            if f2 > cut:
+                pruned_bound += 1
+                continue
             g2 = g + q * c
             m2 = mask | lsb
             if use_pruning:
@@ -531,7 +611,6 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
                 sid2 = len(states)
             q2 = q * omp_list[u]
             states.append((u, q2, m2, size2, sid))
-            f2 = g + q * (c + hrow[u])
             if use_pair:
                 # the larger bound, and pathmax: never below the parent's f
                 if pair:
@@ -553,9 +632,10 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
         if live_open > peak_open:
             peak_open = live_open
 
-    # status stays "failure" only if the queue drains, which a complete
-    # graph never allows; kept for robustness
+    if status is None:
+        # the queue drained, which the cut allows only on a non-metric input
+        status, path, best = "ok", dive_path, upper
     stats = SearchStats(expansions, generations, pruned_extracted,
                         pruned_generated, peak_open,
-                        time.perf_counter() - t0, f0)
+                        time.perf_counter() - t0, f0, pruned_bound, upper)
     return SolveResult(status, path, best, stats)

@@ -55,8 +55,10 @@ def test_solve_emits_json_record(tmp_path, capsys):
     assert rec["cost"] > 0
     assert rec["expansions"] >= 1
     assert rec["generations"] >= rec["expansions"]
-    # the root key under the bound in use: a lower bound on the cost
-    assert 0.0 < rec["root_bound"] <= rec["cost"] + 1e-9
+    # the root key under the bound in use and the incumbent's cost bracket
+    # the optimum
+    assert 0.0 < rec["root_bound"] <= rec["cost"] <= rec["upper_bound"] + 1e-9
+    assert 0 <= rec["pruned_bound"] <= rec["generations"]
 
 
 def test_solve_oracle_matches_exact(tmp_path, capsys):

@@ -6,6 +6,8 @@ import pytest
 from hpppt import (Instance, InvalidConfigError, SearchState, SolverConfig,
                    build_heuristic_table, dominates, expected_cost_q,
                    heuristic_value, oracle_solve, solve)
+from hpppt import solver as solver_mod
+from hpppt.baselines import nearest_neighbor
 from hpppt.bench import make_instance
 from hpppt.solver import _pairing_tails
 from support import brute_force_best, completion_table, random_instance
@@ -143,8 +145,10 @@ def test_stats_invariants():
         res = solve(inst)
         s = res.stats
         assert s.generations >= s.expansions >= 1
-        assert s.prunes == s.pruned_extracted + s.pruned_generated
+        assert s.prunes == (s.pruned_extracted + s.pruned_generated
+                            + s.pruned_bound)
         assert s.prunes <= s.generations
+        assert res.cost <= s.upper_bound
         assert s.peak_open >= 1
         assert s.wall_time >= 0.0
 
@@ -189,6 +193,70 @@ def test_dominates_superset_and_cheaper():
     # equal within tolerance counts as dominating
     c = SearchState(v=2, g=1.0 + 5e-10, q=0.2, visited=0b111, size=3)
     assert dominates(c, a)
+
+
+def test_focal_with_cut_within_bound_of_brute_force():
+    """The incumbent cut keeps focal costs within (1 + eps) of the
+    exhaustive optimum, on low-p inputs too, where the pairing term is in
+    use."""
+    rng = np.random.default_rng(97)
+    cut = 0
+    for p_max in (0.1, 0.9):
+        for _ in range(6):
+            inst = random_instance(rng, int(rng.integers(4, 9)), p_max=p_max)
+            _, want = brute_force_best(inst)
+            for eps in (0.02, 0.2, 0.5):
+                res = solve(inst, SolverConfig(epsilon=eps, time_limit=None))
+                assert res.status == "ok"
+                assert res.cost <= (1.0 + eps) * want + 1e-9
+                cut += res.stats.pruned_bound
+    assert cut > 0
+
+
+def test_dive_without_heuristic_is_nearest_neighbor():
+    """With gamma all zero the incumbent walk is nearest neighbor, ties to
+    the smaller index, and its cost is the path's expected cost, which
+    solve reports as upper_bound."""
+    rng = np.random.default_rng(103)
+    cases = [random_instance(rng, int(rng.integers(1, 12)))
+             for _ in range(10)]
+    cases.append(Instance(np.ones((7, 7)) - np.eye(7), np.full(7, 0.1), 3))
+    for inst in cases:
+        n = inst.n
+        path, upper = solver_mod._dive(inst.cost.tolist(), [[0.0] * n] * n,
+                                       (1.0 - inst.prob).tolist(), inst.start)
+        assert path == nearest_neighbor(inst)
+        assert upper == pytest.approx(expected_cost_q(inst, path),
+                                      rel=1e-12, abs=1e-12)
+        res = solve(inst, SolverConfig(use_heuristic=False, time_limit=None))
+        assert res.stats.upper_bound == upper
+        assert res.cost <= upper
+
+
+def test_drained_queue_returns_incumbent(monkeypatch):
+    """An incumbent that claims less than the optimum cuts every goal, so
+    the queue drains; solve then returns the incumbent's path and cost as
+    ok, in exact and focal mode."""
+    rng = np.random.default_rng(101)
+    cases = [random_instance(rng, int(rng.integers(3, 9))) for _ in range(5)]
+    optima = [solve(inst, SolverConfig(time_limit=None)).cost
+              for inst in cases]
+    real_dive = solver_mod._dive
+    dived = {}
+
+    def low_dive(*args):
+        dived["path"], _ = real_dive(*args)
+        return dived["path"], dived["bound"]
+
+    monkeypatch.setattr(solver_mod, "_dive", low_dive)
+    for inst, opt in zip(cases, optima):
+        dived["bound"] = 0.5 * opt
+        for eps in (0.0, 0.2):
+            res = solve(inst, SolverConfig(epsilon=eps, time_limit=None))
+            assert res.status == "ok"
+            assert res.path == dived["path"]
+            assert res.cost == res.stats.upper_bound == 0.5 * opt
+            assert res.stats.pruned_bound > 0
 
 
 def test_tie_break_fifo_same_cost():
@@ -411,11 +479,13 @@ def test_pairing_keys_never_fall_below_parent():
 # rebuild, and again before the pairing bound existed. The searches with the
 # pairing bound were recorded with it; each of their exact costs equals the
 # gamma-only search's within 1e-9, and each focal cost is within (1 + eps)
-# of it.
+# of it. Both were recorded again with the incumbent cut, which lowers only
+# pruned_generated and peak_open: SEARCH_IDENTITY_DIGEST below, which leaves
+# those two out, was recorded without the cut and holds with it.
 GAMMA_GRID_DIGEST = (
-    "3d93ce735b30d3d78f0b6e0922a5c3d2f447ac127d86eb948f06309b08c5027e")
+    "0a11a70382aacf277f0c62c423764cc9d44b13c133819db23f6804be153ea490")
 PAIRING_GRID_DIGEST = (
-    "05572ac583ea9193ca428cdc88405df9d14166899e12b10b491941773b528e6d")
+    "8898149545ec4a200519f7be2ee947a5a439c3b1d967f0c679f12fe68b60ef40")
 
 
 def _search_grid():
