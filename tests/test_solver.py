@@ -542,3 +542,19 @@ def test_searches_keep_recorded_identity():
             res.status, res.path, repr(res.cost), s.expansions,
             s.generations, s.pruned_extracted)).encode())
     assert digest.hexdigest() == SEARCH_IDENTITY_DIGEST
+
+
+# sha256 over every search of _search_grid() of (status, path, repr(cost)),
+# in grid order: what each search returns, whatever it expanded or pruned
+# on the way. A change to the frontier that moves only counters leaves this
+# hash as it is.
+SEARCH_RESULT_DIGEST = (
+    "7b9db56e48b963dcb4173ffc71116af241d2312d4cd284502f7e0580daf0533e")
+
+
+def test_searches_keep_recorded_results():
+    digest = hashlib.sha256()
+    for inst, cfg in _search_grid():
+        res = solve(inst, cfg)
+        digest.update(repr((res.status, res.path, repr(res.cost))).encode())
+    assert digest.hexdigest() == SEARCH_RESULT_DIGEST
