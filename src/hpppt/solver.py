@@ -53,16 +53,16 @@ Pruning: a state is dominated when another state at the same vertex has
 visited a superset of its vertices at no greater g (1e-9 slack). An exact
 duplicate table (best g per (vertex, visited-set)) catches equal-set
 repeats cheaply, including ones still waiting in the queue. Each vertex
-also keeps a frontier of non-dominated expanded states, bucketed by the
-size of their visited set and sorted by g within a bucket. A superset of
-a k-vertex set has more than k vertices or is the same set, and the
+also keeps a frontier of its expanded states, bucketed by the size of
+their visited set and sorted by g within a bucket. A superset of a
+k-vertex set has more than k vertices or is the same set, and the
 duplicate table has already settled the same set under the same slack, so
 a superset query (_has_superset) scans only the buckets above k, each up
-to g + slack. A newly expanded state joins the frontier (_join_frontier):
-it drops the subsets it dominates from buckets 1..k (bucket k holds equal
-sets that a cheaper duplicate displaced), visiting only the buckets that
-a per-vertex bit set marks non-empty. Both scans stop at the largest size
-yet expanded at that vertex, so a shallow frontier costs next to nothing.
+to g + slack. The frontier only grows: a state that an expanded state
+dominates stays in it, as it was expanded itself, and a query that it
+answers is answered by the same superset rule. The scan stops at the
+largest size yet expanded at that vertex, so a shallow frontier costs next
+to nothing.
 
 Setting epsilon > 0 switches extraction to a focal rule: among queue
 states within (1 + epsilon) of the best f, prefer the one with fewest
@@ -130,7 +130,7 @@ as with numpy rows.
 
 import heapq
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -331,7 +331,7 @@ def _pairing_tails(rem, sources, entry_cost, omp):
 def _has_superset(gb, mb, size, mask, glim):
     """True when one vertex's frontier, bucket lists gb (g) and mb (masks),
     holds a superset of mask with more than size vertices at g <= glim.
-    Buckets are indexed by set size and sorted by g; None or [] is empty."""
+    Buckets are indexed by set size and sorted by g."""
     for k in range(size + 1, len(gb)):
         fg = gb[k]
         if fg and fg[0] <= glim:
@@ -339,43 +339,6 @@ def _has_superset(gb, mb, size, mask, glim):
                 if m & mask == mask:
                     return True
     return False
-
-
-def _join_frontier(gb, mb, occ, size, mask, g):
-    """Add an expanded state to one vertex's frontier (see _has_superset),
-    whose buckets reach index size: drop the states it dominates from the
-    non-empty buckets 1..size, which the bit set occ marks, then insert it
-    into bucket size in g order. Returns the new occ."""
-    glo = g - DOMINANCE_TOL
-    bits = occ & ((2 << size) - 1)
-    while bits:
-        lsb = bits & -bits
-        bits ^= lsb
-        k = lsb.bit_length() - 1
-        fg = gb[k]
-        if fg[-1] >= glo:
-            lo = bisect_left(fg, glo)
-            fm = mb[k]
-            w = lo
-            for i in range(lo, len(fg)):
-                if mask & fm[i] == fm[i]:
-                    continue
-                fg[w] = fg[i]
-                fm[w] = fm[i]
-                w += 1
-            del fg[w:]
-            del fm[w:]
-            if not w:
-                occ ^= lsb
-    fg = gb[size]
-    if fg is None:
-        gb[size] = [g]
-        mb[size] = [mask]
-    else:
-        pos = bisect_left(fg, g)
-        fg.insert(pos, g)
-        mb[size].insert(pos, mask)
-    return occ | (1 << size)
 
 
 def _dive(cost, hrows, omp, start):
@@ -493,14 +456,11 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     pending = []
     # best g seen per (vertex, visited-set), with the owning state id
     bestg = {(start, 1 << start): (0.0, 0)}
-    # bucket_g[v][k] / bucket_m[v][k]: g and mask of the expanded
-    # non-dominated states at v whose visited set has k vertices, sorted by
-    # g; each list of buckets grows to the largest k expanded at v, with
-    # None for a k not yet seen there. Bit k of occupied[v] is set while
-    # bucket k at v is non-empty.
+    # bucket_g[v][k] / bucket_m[v][k]: g and mask of the expanded states at
+    # v whose visited set has k vertices, sorted by g; each list of buckets
+    # grows to the largest k expanded at v
     bucket_g = [[] for _ in range(n)]
     bucket_m = [[] for _ in range(n)]
-    occupied = [0] * n
     live_open = 1
     peak_open = 1
     last_fmin = -float("inf")
@@ -556,9 +516,12 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
                 pruned_extracted += 1
                 continue
             if nb <= size:
-                gb.extend([None] * (size + 1 - nb))
-                mb.extend([None] * (size + 1 - nb))
-            occupied[v] = _join_frontier(gb, mb, occupied[v], size, mask, g)
+                gb += [[] for _ in range(size + 1 - nb)]
+                mb += [[] for _ in range(size + 1 - nb)]
+            fg = gb[size]
+            pos = bisect_right(fg, g)
+            fg.insert(pos, g)
+            mb[size].insert(pos, mask)
 
         expansions += 1
 

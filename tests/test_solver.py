@@ -9,7 +9,7 @@ from hpppt import (Instance, InvalidConfigError, SearchState, SolverConfig,
 from hpppt import solver as solver_mod
 from hpppt.baselines import nearest_neighbor
 from hpppt.bench import make_instance
-from hpppt.solver import _pairing_tails
+from hpppt.solver import _has_superset, _pairing_tails
 from support import brute_force_best, completion_table, random_instance
 
 TRI = Instance([[0, 1, 4], [1, 0, 2], [4, 2, 0]], [0.2, 0.5, 0.3], 0, "tri")
@@ -370,6 +370,42 @@ def test_pairing_tails_match_direct_formula():
                 assert tails[u] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def test_has_superset_matches_plain_scan():
+    """The superset query equals testing every entry of every bucket above
+    size, on random frontiers with empty buckets, tied g values and limits
+    equal to a stored g."""
+    rng = np.random.default_rng(107)
+    n = 8
+    found = {False: 0, True: 0}
+    at_limit = 0
+    for _ in range(300):
+        gb = []
+        mb = []
+        for k in range(int(rng.integers(0, n + 1))):
+            count = int(rng.integers(0, 4)) if k else 0
+            # g on a coarse grid, so that equal values are common
+            gb.append(sorted(float(g) for g in rng.integers(0, 6, count) / 2))
+            mb.append([sum(1 << int(v) for v in rng.choice(n, k, False))
+                       for _ in range(count)])
+        stored = [g for fg in gb for g in fg]
+        for _ in range(10):
+            size = int(rng.integers(1, n))
+            mask = sum(1 << int(v) for v in rng.choice(n, size, False))
+            if stored and rng.random() < 0.5:
+                glim = stored[int(rng.integers(len(stored)))]
+            else:
+                glim = float(rng.uniform(-0.5, 3.0))
+            hits = [g for k in range(size + 1, len(gb))
+                    for g, m in zip(gb[k], mb[k])
+                    if m & mask == mask and g <= glim]
+            want = bool(hits)
+            assert _has_superset(gb, mb, size, mask, glim) == want
+            found[want] += 1
+            at_limit += hits == [glim] * len(hits) and want
+    assert min(found.values()) > 100
+    assert at_limit > 10
+
+
 def test_root_bound_reports_root_key():
     for inst in (make_instance(12, 1, 3, 0.1), make_instance(12, 0, 3, 0.9)):
         table = build_heuristic_table(inst)
@@ -481,9 +517,13 @@ def test_pairing_keys_never_fall_below_parent():
 # gamma-only search's within 1e-9, and each focal cost is within (1 + eps)
 # of it. Both were recorded again with the incumbent cut, which lowers only
 # pruned_generated and peak_open: SEARCH_IDENTITY_DIGEST below, which leaves
-# those two out, was recorded without the cut and holds with it.
+# those two out, was recorded without the cut and holds with it. The
+# gamma-only one was recorded again when the frontier stopped dropping
+# dominated states: only the counters of the four eps = 0 searches at
+# n = 35 moved, where the slack decides prunes, and SEARCH_RESULT_DIGEST
+# pins every path and cost.
 GAMMA_GRID_DIGEST = (
-    "0a11a70382aacf277f0c62c423764cc9d44b13c133819db23f6804be153ea490")
+    "2dbca0b9ba1b0afe85129095b5400d6cf34342b5f36518c3cf367cce65524709")
 PAIRING_GRID_DIGEST = (
     "8898149545ec4a200519f7be2ee947a5a439c3b1d967f0c679f12fe68b60ef40")
 
@@ -505,9 +545,8 @@ def _search_grid():
 
 
 def test_searches_match_recorded_digest():
-    """Dominance index, focal upkeep and the drop step must not change any
-    search: the same path, cost bits and counters on every cell of the
-    grid."""
+    """Dominance index and focal upkeep must not change any search: the
+    same path, cost bits and counters on every cell of the grid."""
     digests = {False: hashlib.sha256(), True: hashlib.sha256()}
     counts = {False: 0, True: 0}
     for inst, cfg in _search_grid():
@@ -528,9 +567,11 @@ def test_searches_match_recorded_digest():
 # expansions, generations, pruned_extracted), in grid order: which states a
 # search extracts, in which order, and what it returns. A change that only
 # drops states the search never extracts leaves this hash as it is, while
-# the counts of generated prunes and of the peak queue may move.
+# the counts of generated prunes and of the peak queue may move. Recorded
+# again with the append-only frontier, for the same four searches as
+# GAMMA_GRID_DIGEST.
 SEARCH_IDENTITY_DIGEST = (
-    "9879a3c0dc63bc7d335f595f74a9cabaaacf6f25b6046f8c0f3921bd20d3f89f")
+    "fda6d09c92e07c4fb0c5ce2cf3575c6e3e5690e8912553e89aa7421574bbb092")
 
 
 def test_searches_keep_recorded_identity():
