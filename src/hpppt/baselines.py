@@ -103,7 +103,10 @@ def nearest_neighbor(inst: Instance) -> tuple:
 def two_opt_path(order, cost) -> tuple:
     """First-improvement 2-opt for an open path with a fixed first vertex
     and a free end. Reversing order[i..j] is accepted only when it shortens
-    the plain path length by more than 1e-12, so the loop terminates."""
+    the plain path length by more than 1e-12, so the loop terminates. On
+    asymmetric costs the reversal also turns the segment's own edges
+    around; their deltas, each exactly 0.0 on a symmetric matrix, are
+    added once the two end edges alone gain enough."""
     cost = np.asarray(cost).tolist()
     order = list(order)
     n = len(order)
@@ -129,6 +132,11 @@ def two_opt_path(order, cost) -> tuple:
                     before = ci
                     after = ca[oj]
                 if after < before - 1e-12:
+                    for k in range(i, j):
+                        a, b = order[k], order[k + 1]
+                        after += cost[b][a] - cost[a][b]
+                    if not after < before - 1e-12:
+                        continue
                     order[i:j + 1] = reversed(order[i:j + 1])
                     jmin = i - 1
                     improved = True

@@ -1,11 +1,17 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import hpppt
 from hpppt import (Instance, OracleCapError, blind_hpp_solve,
                    expected_cost_q, greedy_solve, nearest_neighbor,
-                   oracle_solve, solve, two_opt_path)
+                   oracle_solve, require_metric, solve, two_opt_path)
 from support import brute_force_best, random_instance
 
 
@@ -91,6 +97,42 @@ def test_two_opt_never_worsens():
 
         assert plen(out) <= plen(start) + 1e-12
         assert out[0] == inst.start
+
+
+def test_two_opt_ends_on_asymmetric_costs():
+    """Reversing a segment also reverses its own edges. Counting only the
+    two end edges accepts moves that lengthen this metric but asymmetric
+    path, and the order then cycles. The solve runs in a child process, so
+    that a cycle fails the test instead of hanging it."""
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        cost = rng.choice((1.0, 2.0), size=(13, 13))
+    np.fill_diagonal(cost, 0.0)
+    inst = Instance(cost, np.full(13, 0.1), 0)
+    require_metric(inst)
+    assert not (cost == cost.T).all()
+    code = textwrap.dedent("""
+        import json, sys
+        from hpppt import Instance, blind_hpp_solve
+        cost, prob = json.load(sys.stdin)
+        print(json.dumps(blind_hpp_solve(Instance(cost, prob, 0)).path))
+    """)
+    src = os.path.dirname(os.path.dirname(hpppt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=60,
+        input=json.dumps([cost.tolist(), inst.prob.tolist()]))
+    assert proc.returncode == 0, proc.stderr
+    order = json.loads(proc.stdout)
+
+    def plen(order):
+        return sum(cost[a, b] for a, b in zip(order, order[1:]))
+
+    assert order[0] == inst.start
+    assert sorted(order) == list(range(inst.n))
+    assert plen(order) <= plen(nearest_neighbor(inst))
 
 
 def test_blind_scores_by_expected_cost():
