@@ -331,7 +331,7 @@ def _pairing_tails(rem, sources, entry_cost, omp):
 def _has_superset(gb, mb, size, mask, glim):
     """True when one vertex's frontier, bucket lists gb (g) and mb (masks),
     holds a superset of mask with more than size vertices at g <= glim.
-    Buckets are indexed by set size and sorted by g."""
+    Buckets are indexed by set size and sorted by g; None or [] is empty."""
     for k in range(size + 1, len(gb)):
         fg = gb[k]
         if fg and fg[0] <= glim:
@@ -458,7 +458,8 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     bestg = {(start, 1 << start): (0.0, 0)}
     # bucket_g[v][k] / bucket_m[v][k]: g and mask of the expanded states at
     # v whose visited set has k vertices, sorted by g; each list of buckets
-    # grows to the largest k expanded at v
+    # grows to the largest k expanded at v, with None for a k not yet seen
+    # there, as empty lists would cost the garbage collector time
     bucket_g = [[] for _ in range(n)]
     bucket_m = [[] for _ in range(n)]
     live_open = 1
@@ -516,12 +517,16 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
                 pruned_extracted += 1
                 continue
             if nb <= size:
-                gb += [[] for _ in range(size + 1 - nb)]
-                mb += [[] for _ in range(size + 1 - nb)]
+                gb.extend([None] * (size + 1 - nb))
+                mb.extend([None] * (size + 1 - nb))
             fg = gb[size]
-            pos = bisect_right(fg, g)
-            fg.insert(pos, g)
-            mb[size].insert(pos, mask)
+            if fg is None:
+                gb[size] = [g]
+                mb[size] = [mask]
+            else:
+                pos = bisect_right(fg, g)
+                fg.insert(pos, g)
+                mb[size].insert(pos, mask)
 
         expansions += 1
 
