@@ -99,11 +99,40 @@ def test_two_opt_never_worsens():
         assert out[0] == inst.start
 
 
+def _rescored_two_opt(order, cost):
+    """2-opt by the rule of two_opt_path, scoring each reversal on the
+    whole path: the first (i, j) in row-major order whose two end edges
+    and whole path both shorten by more than 1e-12, repeated until none
+    does."""
+    def plen(order):
+        return sum(cost[a][b] for a, b in zip(order, order[1:]))
+
+    order = list(order)
+    n = len(order)
+    while True:
+        for i, j in itertools.combinations(range(1, n), 2):
+            a = order[i - 1]
+            before = cost[a][order[i]]
+            after = cost[a][order[j]]
+            if j + 1 < n:
+                before += cost[order[j]][order[j + 1]]
+                after += cost[order[i]][order[j + 1]]
+            new = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
+            if (after < before - 1e-12
+                    and plen(new) < plen(order) - 1e-12):
+                order = new
+                break
+        else:
+            return tuple(order)
+
+
 def test_two_opt_ends_on_asymmetric_costs():
     """Reversing a segment also reverses its own edges. Counting only the
     two end edges accepts moves that lengthen this metric but asymmetric
-    path, and the order then cycles. The solve runs in a child process, so
-    that a cycle fails the test instead of hanging it."""
+    path, and the order then cycles. Integer costs keep every sum exact,
+    so the orders must equal the whole-path reference. The solves run in
+    a child process, so that a cycle fails the test instead of hanging
+    it."""
     rng = np.random.default_rng(43)
     for _ in range(10):
         cost = rng.choice((1.0, 2.0), size=(13, 13))
@@ -111,28 +140,33 @@ def test_two_opt_ends_on_asymmetric_costs():
     inst = Instance(cost, np.full(13, 0.1), 0)
     require_metric(inst)
     assert not (cost == cost.T).all()
+    cases = []
+    for _ in range(30):
+        n = int(rng.integers(4, 14))
+        m = rng.integers(1, 4, (n, n)).astype(float)
+        np.fill_diagonal(m, 0.0)
+        order = [0] + [int(v) for v in rng.permutation(np.arange(1, n))]
+        cases.append((order, m.tolist()))
     code = textwrap.dedent("""
         import json, sys
-        from hpppt import Instance, blind_hpp_solve
-        cost, prob = json.load(sys.stdin)
-        print(json.dumps(blind_hpp_solve(Instance(cost, prob, 0)).path))
+        from hpppt import Instance, blind_hpp_solve, two_opt_path
+        cost, prob, cases = json.load(sys.stdin)
+        out = [blind_hpp_solve(Instance(cost, prob, 0)).path]
+        out += [two_opt_path(order, m) for order, m in cases]
+        print(json.dumps(out))
     """)
     src = os.path.dirname(os.path.dirname(hpppt.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True,
         text=True, timeout=60,
-        input=json.dumps([cost.tolist(), inst.prob.tolist()]))
+        input=json.dumps([cost.tolist(), inst.prob.tolist(), cases]))
     assert proc.returncode == 0, proc.stderr
-    order = json.loads(proc.stdout)
-
-    def plen(order):
-        return sum(cost[a, b] for a, b in zip(order, order[1:]))
-
-    assert order[0] == inst.start
-    assert sorted(order) == list(range(inst.n))
-    assert plen(order) <= plen(nearest_neighbor(inst))
+    out = [tuple(order) for order in json.loads(proc.stdout)]
+    assert out[0] == _rescored_two_opt(nearest_neighbor(inst), cost)
+    for (order, m), got in zip(cases, out[1:]):
+        assert got == _rescored_two_opt(order, m)
 
 
 def test_blind_scores_by_expected_cost():
