@@ -26,8 +26,7 @@ from .lifelong import (DegenerateUpdateError, GroundTruth, MissionConfig,
                        run_mission, update)
 from .solver import (DEFAULT_TIME_LIMIT, HeuristicTable, InvalidConfigError,
                      SearchState, SearchStats, SolveResult, SolverConfig,
-                     build_heuristic_table, dominates, heuristic_value,
-                     solve)
+                     build_heuristic_table, heuristic_value, solve)
 
 __all__ = [
     "__version__",
@@ -41,7 +40,7 @@ __all__ = [
     "derive_seed",
     "solve", "SolverConfig", "SolveResult", "SearchStats", "SearchState",
     "HeuristicTable", "build_heuristic_table", "heuristic_value",
-    "dominates", "InvalidConfigError", "DEFAULT_TIME_LIMIT",
+    "InvalidConfigError", "DEFAULT_TIME_LIMIT",
     "oracle_solve", "greedy_solve", "blind_hpp_solve", "nearest_neighbor",
     "two_opt_path", "ORACLE_CAP", "OracleCapError",
     "SensorModel", "GroundTruth", "MissionConfig", "MissionLog",

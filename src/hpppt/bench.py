@@ -138,14 +138,13 @@ def _materialize(source: dict) -> Instance:
 
 
 def run_solver(inst: Instance, spec: SolverSpec, time_limit: float,
-               tie_break: str = "deep", tour=None):
-    """Run the solver a parsed token names. tie_break applies to rpt and
-    tour (a precomputed visiting order) to blind; others ignore them."""
+               tour=None):
+    """Run the solver a parsed token names. tour (a precomputed visiting
+    order) applies to blind; others ignore it."""
     if spec.kind == "rpt":
         return solve(inst, SolverConfig(epsilon=spec.epsilon,
                                         use_heuristic=spec.use_heuristic,
-                                        time_limit=time_limit,
-                                        tie_break=tie_break))
+                                        time_limit=time_limit))
     if spec.kind == "greedy":
         return greedy_solve(inst)
     if spec.kind == "blind":

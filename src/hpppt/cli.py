@@ -89,14 +89,11 @@ def cmd_solve(args) -> int:
     spec = parse_solver(args.solver)
     if args.time_limit is not None and spec.kind != "rpt":
         raise BenchConfigError(f"--time-limit does not apply to {spec.kind}")
-    if args.tie_break is not None and spec.kind != "rpt":
-        raise BenchConfigError(f"--tie-break does not apply to {spec.kind}")
     if args.tour_file is not None and spec.kind != "blind":
         raise BenchConfigError(f"--tour-file does not apply to {spec.kind}")
     inst = load_instance(args.instance, metric_closure=args.metric_closure)
     tour = read_tour(args.tour_file, inst) if args.tour_file else None
-    res = bench_mod.run_solver(inst, spec, time_limit,
-                               tie_break=args.tie_break or "deep", tour=tour)
+    res = bench_mod.run_solver(inst, spec, time_limit, tour=tour)
     name = inst.name or os.path.splitext(os.path.basename(args.instance))[0]
     record = {
         "instance": name, "n": inst.n, "solver": spec.token,
@@ -309,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("instance", help=".hpt or TSPLIB file")
     s.add_argument("--solver", default="rpt",
                    help="rpt[-noh][:EPS], greedy, blind or oracle")
-    s.add_argument("--tie-break", choices=("deep", "fifo"), default=None,
-                   help="rpt only: order of equal-f states (default deep)")
     s.add_argument("--metric-closure", action="store_true",
                    help="repair triangle-inequality violations on load")
     s.add_argument("--tour-file", default=None,

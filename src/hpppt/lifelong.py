@@ -15,7 +15,7 @@ Observation draws come from a counter-based stream seeded by
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,7 +173,6 @@ def plan_next(cost, beliefs, surviving, current: int, planner: str) -> int:
     sub_cost = cost[idx][:, idx]
     sub_prob = _clamped(np.asarray(beliefs)[idx])
     if current not in surviving:
-        sub_prob = sub_prob.copy()
         sub_prob[0] = 0.0
     sub = Instance(sub_cost, sub_prob, 0, "replan")
     if planner == "rpt":

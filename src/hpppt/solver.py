@@ -64,8 +64,10 @@ answers is answered by the same superset rule. The scan stops at the
 largest size yet expanded at that vertex, so a shallow frontier costs next
 to nothing.
 
-Setting epsilon > 0 switches extraction to a focal rule: among queue
-states within (1 + epsilon) of the best f, prefer the one with fewest
+Exact search extracts the least f, ties to the state with fewest
+unvisited vertices, then the least g, then the first generated. Setting
+epsilon > 0 switches extraction to a focal rule: among queue states
+within (1 + epsilon) of the best f, prefer the one with fewest
 unvisited vertices. The returned cost is then at most (1 + epsilon) times
 optimal. A state generated within the bound joins the focal heap at once;
 one above it waits in a pending heap ordered by f. Whenever the best f
@@ -151,15 +153,12 @@ class SolverConfig:
     use_heuristic: bool = True
     use_pruning: bool = True
     time_limit: float | None = DEFAULT_TIME_LIMIT
-    tie_break: str = "deep"  # "deep": prefer larger visited sets; "fifo"
 
     def __post_init__(self):
         # each rule is written so that NaN fails it
         if not self.epsilon >= 0.0:
             raise InvalidConfigError(
                 f"epsilon must be >= 0, got {self.epsilon}")
-        if self.tie_break not in ("deep", "fifo"):
-            raise InvalidConfigError(f"unknown tie_break {self.tie_break!r}")
         if self.time_limit is not None and not self.time_limit > 0:
             raise InvalidConfigError("time_limit must be positive")
 
@@ -203,18 +202,6 @@ class SearchState:
     @property
     def f(self) -> float:
         return self.g + self.h
-
-
-def dominates(s1: SearchState, s2: SearchState) -> bool:
-    """True when s1 renders s2 redundant: same vertex, superset of visited
-    vertices, and no larger g (within 1e-9). Implies q(s1) <= q(s2), which
-    is asserted rather than recomputed."""
-    if s1.v != s2.v:
-        raise ValueError("dominance is defined per vertex")
-    result = (s1.g <= s2.g + DOMINANCE_TOL
-              and (s1.visited & s2.visited) == s2.visited)
-    assert not result or s1.q <= s2.q + 1e-12
-    return result
 
 
 @dataclass(frozen=True)
@@ -401,7 +388,6 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     use_pruning = cfg.use_pruning
     eps = cfg.epsilon
     use_focal = eps > 0.0
-    deep = cfg.tie_break == "deep"
     f0 = 0.0
     use_pair = False
     if cfg.use_heuristic:
@@ -447,9 +433,8 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     if on_generate:
         on_generate(SearchState(start, 0.0, states[0][1], 1 << start, 1, f0))
 
-    # open entries are (f, krem, g, sid) when deep, (f, sid, g, sid) when
-    # fifo: g and sid sit at the same places as in the focal entries
-    open_heap = [(f0, n - 1, 0.0, 0) if deep else (f0, 0, 0.0, 0)]
+    # open entries are (f, krem, g, sid): ties go to the deeper state
+    open_heap = [(f0, n - 1, 0.0, 0)]
     # focal holds (krem, f, g, sid) for states within the bound; pending
     # holds (f, sid, g) for the states generated above it
     focal_heap = [(n - 1, f0, 0.0, 0)] if use_focal else []
@@ -493,11 +478,9 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
                     f2, sid2, g2 = heappop(pending)
                     heappush(focal_heap, (n - states[sid2][3], f2, g2, sid2))
             # the open-heap top is within the bound, so a live entry waits
-            # in focal (see the module docstring)
-            while True:
-                _, f, g, sid = heappop(focal_heap)
-                if sid not in closed:
-                    break
+            # in focal (see the module docstring); a state enters focal once
+            # and is closed only when popped from it, so no entry is stale
+            _, f, g, sid = heappop(focal_heap)
             closed.add(sid)
         else:
             f, _, g, sid = heappop(open_heap)
@@ -589,8 +572,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
                     f2 = f
             if on_generate:
                 on_generate(SearchState(u, g2, q2, m2, size2, f2 - g2))
-            heappush(open_heap,
-                     (f2, krem, g2, sid2) if deep else (f2, sid2, g2, sid2))
+            heappush(open_heap, (f2, krem, g2, sid2))
             live_open += 1
             if use_focal:
                 if f2 <= bound:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hpppt import (Instance, InvalidConfigError, SearchState, SolverConfig,
-                   build_heuristic_table, dominates, expected_cost_q,
+                   build_heuristic_table, expected_cost_q,
                    heuristic_value, oracle_solve, solve)
 from hpppt import solver as solver_mod
 from hpppt.baselines import nearest_neighbor
@@ -178,23 +178,6 @@ def test_generated_states_follow_transition_rules():
     assert root.visited == 1
 
 
-def test_dominates_requires_same_vertex():
-    s1 = SearchState(v=0, g=1.0, q=0.5, visited=3, size=2)
-    s2 = SearchState(v=1, g=2.0, q=0.5, visited=3, size=2)
-    with pytest.raises(ValueError):
-        dominates(s1, s2)
-
-
-def test_dominates_superset_and_cheaper():
-    a = SearchState(v=2, g=1.0, q=0.2, visited=0b111, size=3)
-    b = SearchState(v=2, g=1.5, q=0.4, visited=0b101, size=2)
-    assert dominates(a, b)
-    assert not dominates(b, a)
-    # equal within tolerance counts as dominating
-    c = SearchState(v=2, g=1.0 + 5e-10, q=0.2, visited=0b111, size=3)
-    assert dominates(c, a)
-
-
 def test_focal_with_cut_within_bound_of_brute_force():
     """The incumbent cut keeps focal costs within (1 + eps) of the
     exhaustive optimum, on low-p inputs too, where the pairing term is in
@@ -259,15 +242,6 @@ def test_drained_queue_returns_incumbent(monkeypatch):
             assert res.stats.pruned_bound > 0
 
 
-def test_tie_break_fifo_same_cost():
-    rng = np.random.default_rng(41)
-    for _ in range(5):
-        inst = random_instance(rng, 7)
-        a = solve(inst, SolverConfig(tie_break="deep"))
-        b = solve(inst, SolverConfig(tie_break="fifo"))
-        assert abs(a.cost - b.cost) <= 1e-9
-
-
 def test_timeout_reports_status():
     rng = np.random.default_rng(43)
     inst = random_instance(rng, 18, p_max=0.05)
@@ -280,8 +254,6 @@ def test_timeout_reports_status():
 def test_config_validation():
     with pytest.raises(InvalidConfigError):
         solve(TRI, SolverConfig(epsilon=-0.1))
-    with pytest.raises(InvalidConfigError):
-        solve(TRI, SolverConfig(tie_break="lifo"))
     with pytest.raises(InvalidConfigError):
         solve(TRI, SolverConfig(time_limit=0.0))
     # NaN epsilon used to run an exact search, NaN time_limit never expired
@@ -521,11 +493,13 @@ def test_pairing_keys_never_fall_below_parent():
 # gamma-only one was recorded again when the frontier stopped dropping
 # dominated states: only the counters of the four eps = 0 searches at
 # n = 35 moved, where the slack decides prunes, and SEARCH_RESULT_DIGEST
-# pins every path and cost.
+# pins every path and cost. All four grid digests were recorded again when
+# the second queue order went: each equals the digest of the same searches
+# under the one order that remains, taken before it went.
 GAMMA_GRID_DIGEST = (
-    "2dbca0b9ba1b0afe85129095b5400d6cf34342b5f36518c3cf367cce65524709")
+    "376c162559c903c3a3b9d4deeb05721071c741d4d22937b371ed0541ef0fb8cc")
 PAIRING_GRID_DIGEST = (
-    "8898149545ec4a200519f7be2ee947a5a439c3b1d967f0c679f12fe68b60ef40")
+    "ec9f0a9e3a86786568da48f39a52d6f0d24fec0661e5da8b47277ed547d32a86")
 
 
 def _search_grid():
@@ -537,20 +511,23 @@ def _search_grid():
     cells += [(make_instance(35, index, 3, 0.9), False) for index in (0, 1)]
     for inst, with_noh in cells:
         for eps in (0.0, 0.02, 0.2):
-            for tie_break in ("deep", "fifo"):
-                for use_h in (True, False) if with_noh else (True,):
-                    yield inst, SolverConfig(epsilon=eps, tie_break=tie_break,
-                                             use_heuristic=use_h,
-                                             time_limit=None)
+            for use_h in (True, False) if with_noh else (True,):
+                yield inst, SolverConfig(epsilon=eps, use_heuristic=use_h,
+                                         time_limit=None)
 
 
-def test_searches_match_recorded_digest():
+@pytest.fixture(scope="module")
+def grid_results():
+    """Every search of _search_grid(), solved once for the digest tests."""
+    return [(inst, cfg, solve(inst, cfg)) for inst, cfg in _search_grid()]
+
+
+def test_searches_match_recorded_digest(grid_results):
     """Dominance index and focal upkeep must not change any search: the
     same path, cost bits and counters on every cell of the grid."""
     digests = {False: hashlib.sha256(), True: hashlib.sha256()}
     counts = {False: 0, True: 0}
-    for inst, cfg in _search_grid():
-        res = solve(inst, cfg)
+    for inst, cfg, res in grid_results:
         s = res.stats
         pairing = cfg.use_heuristic and _uses_pairing(inst)
         digests[pairing].update(repr((
@@ -558,7 +535,7 @@ def test_searches_match_recorded_digest():
             s.generations, s.pruned_extracted, s.pruned_generated,
             s.peak_open)).encode())
         counts[pairing] += 1
-    assert counts == {False: 72, True: 36}
+    assert counts == {False: 36, True: 18}
     assert digests[False].hexdigest() == GAMMA_GRID_DIGEST
     assert digests[True].hexdigest() == PAIRING_GRID_DIGEST
 
@@ -569,15 +546,14 @@ def test_searches_match_recorded_digest():
 # drops states the search never extracts leaves this hash as it is, while
 # the counts of generated prunes and of the peak queue may move. Recorded
 # again with the append-only frontier, for the same four searches as
-# GAMMA_GRID_DIGEST.
+# GAMMA_GRID_DIGEST, and with one queue order, as the grid digests above.
 SEARCH_IDENTITY_DIGEST = (
-    "fda6d09c92e07c4fb0c5ce2cf3575c6e3e5690e8912553e89aa7421574bbb092")
+    "73155afaa09b1e955630452e94d52ca16b240e7045e6dde03bd78e9c8a043cde")
 
 
-def test_searches_keep_recorded_identity():
+def test_searches_keep_recorded_identity(grid_results):
     digest = hashlib.sha256()
-    for inst, cfg in _search_grid():
-        res = solve(inst, cfg)
+    for _, _, res in grid_results:
         s = res.stats
         digest.update(repr((
             res.status, res.path, repr(res.cost), s.expansions,
@@ -588,14 +564,13 @@ def test_searches_keep_recorded_identity():
 # sha256 over every search of _search_grid() of (status, path, repr(cost)),
 # in grid order: what each search returns, whatever it expanded or pruned
 # on the way. A change to the frontier that moves only counters leaves this
-# hash as it is.
+# hash as it is. Recorded again with one queue order, as the digests above.
 SEARCH_RESULT_DIGEST = (
-    "7b9db56e48b963dcb4173ffc71116af241d2312d4cd284502f7e0580daf0533e")
+    "7cc133ba5c6abfd73072fcf7b984f214a0b03abdac4428ac2cfe088cdfbe25a8")
 
 
-def test_searches_keep_recorded_results():
+def test_searches_keep_recorded_results(grid_results):
     digest = hashlib.sha256()
-    for inst, cfg in _search_grid():
-        res = solve(inst, cfg)
+    for _, _, res in grid_results:
         digest.update(repr((res.status, res.path, repr(res.cost))).encode())
     assert digest.hexdigest() == SEARCH_RESULT_DIGEST
