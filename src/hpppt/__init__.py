@@ -1,7 +1,7 @@
 """Expected-cost path planning over graphs with probabilistic terminals.
 
 Core pieces: Instance (costs + termination probabilities), solve (optimal
-or bounded-suboptimal best-first search), permutation/greedy/blind
+or bounded-suboptimal best-first search), Held-Karp/greedy/blind
 baselines, Bayesian target-search missions, and frontier exploration on
 occupancy grids. The `hpppt` console script fronts all of it.
 """

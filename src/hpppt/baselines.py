@@ -1,7 +1,6 @@
-"""Reference solvers: exhaustive oracle, probability-greedy, and a
+"""Reference solvers: Held-Karp oracle, probability-greedy, and a
 probability-blind shortest-path heuristic (nearest neighbor plus 2-opt)."""
 
-import itertools
 import time
 
 import numpy as np
@@ -10,7 +9,6 @@ from .instance import Instance, check_path, expected_cost_q
 from .solver import SearchStats, SolveResult
 
 ORACLE_CAP = 12
-_CHUNK = 200_000
 
 
 class OracleCapError(ValueError):
@@ -22,44 +20,39 @@ def _result(path, cost, t0):
     return SolveResult("ok", path, cost, stats)
 
 
-def oracle_solve(inst: Instance, cap: int = ORACLE_CAP) -> SolveResult:
-    """Enumerate every ordering of the non-start vertices and return the
-    cheapest. Ties break to the lexicographically smallest ordering.
-    Factorial time; refuses instances above cap vertices."""
+def oracle_solve(inst: Instance) -> SolveResult:
+    """Held-Karp DP over (visited set, last vertex): exact, as a partial
+    path's survival weight depends only on its visited set. Cost ties go
+    to the lexicographically smallest path. Refuses n > ORACLE_CAP."""
     n = inst.n
-    if n > cap:
-        raise OracleCapError(
-            f"oracle enumerates (n-1)! orderings; n={n} exceeds cap {cap}")
+    if n > ORACLE_CAP:
+        raise OracleCapError(f"oracle tabulates every visited set; n={n} "
+                             f"exceeds cap {ORACLE_CAP}")
     t0 = time.perf_counter()
     start = inst.start
-    if n == 1:
-        return _result((start,), 0.0, t0)
-    rest = [v for v in range(n) if v != start]
-    cost = inst.cost
-    omp = 1.0 - inst.prob
-    best_cost = np.inf
-    best_perm = None
-    it = itertools.permutations(rest)
-    while True:
-        chunk = list(itertools.islice(it, _CHUNK))
-        if not chunk:
-            break
-        arr = np.array(chunk, dtype=np.intp)
-        m, w = arr.shape
-        qs = np.empty((m, w))
-        qs[:, 0] = omp[start]
-        edges = np.empty((m, w))
-        edges[:, 0] = cost[start, arr[:, 0]]
-        for j in range(1, w):
-            qs[:, j] = qs[:, j - 1] * omp[arr[:, j - 1]]
-            edges[:, j] = cost[arr[:, j - 1], arr[:, j]]
-        totals = (qs * edges).sum(axis=1)
-        i = int(np.argmin(totals))
-        if totals[i] < best_cost:
-            best_cost = float(totals[i])
-            best_perm = chunk[i]
-    path = (start,) + best_perm
-    return _result(path, expected_cost_q(inst, path), t0)
+    cost = inst.cost.tolist()
+    omp = (1.0 - inst.prob).tolist()
+    full = (1 << n) - 1
+    # togo[mask][v]: cheapest cost to finish from v with mask visited, at
+    # unit survival weight; a superset's mask is larger, so it comes first
+    togo = [None] * full + [[0.0] * n]
+
+    def step(mask, v, u):
+        return cost[v][u] + omp[u] * togo[mask | 1 << u][u]
+
+    for mask in range(full - 1, 0, -1):
+        if mask >> start & 1:
+            left = [u for u in range(n) if not mask >> u & 1]
+            togo[mask] = [min(step(mask, v, u) for u in left)
+                          if mask >> v & 1 else None for v in range(n)]
+    path = [start]
+    mask = 1 << start
+    while mask != full:
+        _, u = min((step(mask, path[-1], u), u) for u in range(n)
+                   if not mask >> u & 1)
+        path.append(u)
+        mask |= 1 << u
+    return _result(tuple(path), expected_cost_q(inst, path), t0)
 
 
 def greedy_solve(inst: Instance, *, score: bool = True) -> SolveResult:

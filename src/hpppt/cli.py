@@ -130,7 +130,7 @@ def cmd_bench(args) -> int:
             0 if args.seed is None else args.seed,
             0.9 if args.p_max is None else args.p_max)
     else:
-        sources = []
+        raise BenchConfigError("need instance files or --sizes")
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     rows = bench_mod.run_grid(sources, solvers, reps=args.reps,
                               time_limit=time_limit, jobs=jobs)
@@ -178,6 +178,8 @@ def _parse_targets(text: str, n: int, seed: int) -> list:
 def cmd_lifelong(args) -> int:
     if not (0.0 < args.init_belief < 1.0):
         raise BenchConfigError("--init-belief must lie in (0, 1)")
+    if args.trials < 1:
+        raise BenchConfigError("--trials must be >= 1")
     if args.instance:
         _reject_moot("an instance file", [("--n", args.n)])
         base = load_instance(args.instance)
@@ -231,6 +233,8 @@ def _demo_world(kind: str, seed: int):
 
 def cmd_explore(args) -> int:
     time_limit = resolve_time_limit(args.time_limit)
+    if args.trials < 1:
+        raise BenchConfigError("--trials must be >= 1")
     planners = _parse_planners(args.planners)
     if "rpt" not in planners:
         _reject_moot("planners without rpt",

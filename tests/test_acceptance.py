@@ -26,7 +26,8 @@ _SHARED: dict = {}
 
 
 def _reference_set():
-    """100 seeded instances, n cycling 4..10, with exhaustive best costs."""
+    """100 seeded instances, n cycling 4..10, with optimal costs from the
+    Held-Karp oracle."""
     if "ref" not in _SHARED:
         insts = [make_instance(4 + i % 7, i, 0) for i in range(100)]
         _SHARED["ref"] = [(inst, oracle_solve(inst).cost) for inst in insts]
@@ -46,7 +47,7 @@ def test_a01_exact_search_matches_exhaustive_reference():
     dt = time.perf_counter() - t0
     assert hits == 100
     assert dt < 30.0
-    print(f"A01 exact search equals exhaustive reference: PASS "
+    print(f"A01 exact search equals Held-Karp reference: PASS "
           f"(100/100, max diff {worst:.2e}, {dt:.1f}s)")
 
 

@@ -9,17 +9,20 @@ import numpy as np
 import pytest
 
 import hpppt
-from hpppt import (Instance, OracleCapError, blind_hpp_solve,
+from hpppt import (ORACLE_CAP, Instance, OracleCapError, blind_hpp_solve,
                    expected_cost_q, greedy_solve, nearest_neighbor,
                    oracle_solve, require_metric, solve, two_opt_path)
-from support import brute_force_best, random_instance
+from hpppt.bench import make_instance
+from support import brute_force_best, completion_table, random_instance
 
 
 def test_oracle_matches_exhaustive_search():
     rng = np.random.default_rng(61)
     for _ in range(20):
         n = int(rng.integers(2, 8))
-        inst = random_instance(rng, n, euclidean=False)
+        base = random_instance(rng, n, euclidean=False)
+        # the table holds only visited sets that contain the start
+        inst = Instance(base.cost, base.prob, int(rng.integers(n)))
         res = oracle_solve(inst)
         order, cost = brute_force_best(inst)
         assert res.status == "ok"
@@ -34,6 +37,12 @@ def test_oracle_breaks_ties_lexicographically():
     assert expected_cost_q(inst, (0, 1, 2)) == pytest.approx(
         expected_cost_q(inst, (0, 2, 1)))
     assert res.path == (0, 1, 2)
+    # unit costs and equal probabilities: every order from the middle
+    # start costs the same, so the path is the start then the rest in
+    # index order. A recovery run backward from the end, or one taking
+    # the last minimum, returns another order.
+    flat = Instance(np.ones((6, 6)) - np.eye(6), np.full(6, 0.25), 3)
+    assert oracle_solve(flat).path == (3, 0, 1, 2, 4, 5)
 
 
 def test_oracle_cap_enforced():
@@ -41,18 +50,18 @@ def test_oracle_cap_enforced():
     inst = random_instance(rng, 13)
     with pytest.raises(OracleCapError):
         oracle_solve(inst)
-    # explicit cap override still works
-    small = random_instance(rng, 5)
-    assert oracle_solve(small, cap=5).status == "ok"
 
 
-def test_oracle_chunking_consistent():
-    # 9! = 362880 permutations spans two scoring chunks
-    rng = np.random.default_rng(71)
-    inst = random_instance(rng, 9)
+def test_oracle_at_cap():
+    """n = ORACLE_CAP, where brute force cannot reach: the cost against
+    the support DP and the path against exact search."""
+    inst = make_instance(ORACLE_CAP, 0, 11)
     res = oracle_solve(inst)
-    exact = solve(inst)
-    assert res.cost == pytest.approx(exact.cost, abs=1e-9)
+    rest = ((1 << inst.n) - 1) ^ (1 << inst.start)
+    finish = completion_table(inst)(inst.start, rest)
+    assert res.cost == pytest.approx(
+        (1.0 - inst.prob[inst.start]) * finish, rel=1e-12)
+    assert res.path == solve(inst).path
 
 
 def test_greedy_orders_by_probability_then_index():

@@ -108,6 +108,17 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "unrecognized arguments: --tie-break" in capsys.readouterr().err
     assert main(["gen", "--sizes", "5", "--p-max", "1.5",
                  "--out", str(tmp_path)]) == 2
+    # runs that would do nothing: no instances, or no trials
+    for argv, reason in ((["bench"], "need instance files or --sizes"),
+                         (["lifelong", "--n", "4", "--trials", "-1"],
+                          "--trials must be >= 1"),
+                         (["explore", "--demo", "accurate", "--trials", "-1"],
+                          "--trials must be >= 1")):
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert reason in captured.err
+        assert captured.out == ""
 
 
 def _exit_code(argv):
