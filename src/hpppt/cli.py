@@ -71,6 +71,8 @@ def _emit(text: str, out_path) -> None:
 
 
 def cmd_gen(args) -> int:
+    if args.count < 1:
+        raise BenchConfigError("--count must be >= 1")
     sizes = parse_sizes(args.sizes)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -119,6 +121,8 @@ def cmd_bench(args) -> int:
     if not any(parse_solver(t).kind == "rpt" for t in solvers):
         _reject_moot("a grid without rpt tokens",
                      [("--time-limit", args.time_limit)])
+    if args.count is not None and args.count < 1:
+        raise BenchConfigError("--count must be >= 1")
     if args.instances:
         _reject_moot("instance files",
                      [("--sizes", args.sizes), ("--count", args.count),
@@ -195,25 +199,27 @@ def cmd_lifelong(args) -> int:
     truth = GroundTruth.from_targets(inst.n, targets)
     sensor = SensorModel(args.alpha1, args.alpha2)
     planners = _parse_planners(args.planners)
+    # every config is checked before the CSV header goes out
+    cfgs = [MissionConfig(planner=planner, seed=args.seed + trial,
+                          p_high=args.p_high, p_low=args.p_low,
+                          max_steps=args.max_steps)
+            for planner in planners for trial in range(args.trials)]
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     w = sys.stdout
     w.write("planner,seed,status,duration,steps,misclassified,"
             "classification\n")
-    for planner in planners:
-        for trial in range(args.trials):
-            cfg = MissionConfig(planner=planner, seed=args.seed + trial,
-                                p_high=args.p_high, p_low=args.p_low,
-                                max_steps=args.max_steps)
-            log = run_mission(inst, truth, sensor, cfg)
-            labels = ";".join(c or "undecided" for c in log.classification)
-            w.write(f"{planner},{cfg.seed},{log.status},{log.duration:.12g},"
-                    f"{len(log.steps)},{log.misclassified},{labels}\n")
-            if args.out:
-                path = os.path.join(args.out,
-                                    f"mission-{planner}-s{cfg.seed}.jsonl")
-                with open(path, "w") as fh:
-                    fh.write(log.to_json_lines())
+    for cfg in cfgs:
+        log = run_mission(inst, truth, sensor, cfg)
+        labels = ";".join(c or "undecided" for c in log.classification)
+        w.write(f"{cfg.planner},{cfg.seed},{log.status},"
+                f"{log.duration:.12g},{len(log.steps)},{log.misclassified},"
+                f"{labels}\n")
+        if args.out:
+            path = os.path.join(args.out,
+                                f"mission-{cfg.planner}-s{cfg.seed}.jsonl")
+            with open(path, "w") as fh:
+                fh.write(log.to_json_lines())
     return 0
 
 

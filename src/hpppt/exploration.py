@@ -19,13 +19,15 @@ import numpy as np
 from .baselines import blind_hpp_solve, greedy_solve
 from .grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, WorldModel,
                    extract_frontiers, grid_distances, reveal,
-                   shortest_path_cells)
+                   shortest_path_cells, tree_path)
 from .instance import Instance
 from .lifelong import PLANNERS
 from .solver import DEFAULT_TIME_LIMIT, SolverConfig, solve
 
 PROB_CLAMP = 1.0 - 1e-9
-RAY_CHUNK = 8  # frontier cells per phi_g array pass; bounds its memory
+# a phi_g array pass holds at most the samples of RAY_CHUNK cells' rays
+# marched over the whole range, whatever the block its live rays are in
+RAY_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -153,11 +155,16 @@ def _phi_geometric_cells(labels: np.ndarray, cells: np.ndarray,
                          bearings: np.ndarray, fov: float, rays: int,
                          ray_step: float,
                          max_range_cells: float) -> np.ndarray:
-    """phi_g of each cell with its own bearing; the rays of RAY_CHUNK cells
-    are marched in one array pass."""
-    out = np.empty(len(cells))
+    """phi_g of each cell with its own bearing.
+
+    The rays of all cells are marched together, in blocks of samples that
+    double in length (2, 4, 8, ...). After each block, a ray with a
+    stopping sample (Unknown or Occupied) in it is settled by the first
+    one and dropped; the others go on to the next block. A pass marches
+    as many live rays as fit RAY_CHUNK * rays * nsteps samples, the size
+    of a march of RAY_CHUNK cells' rays over the whole range."""
     if not len(cells):
-        return out
+        return np.empty(0)
     h, w = labels.shape
     nsteps = max(1, int(math.ceil(max_range_cells / ray_step)))
     dist = (np.arange(1, nsteps + 1) * ray_step).clip(max=max_range_cells)
@@ -171,24 +178,48 @@ def _phi_geometric_cells(labels: np.ndarray, cells: np.ndarray,
                    int(cells[:, 1].max()) - w + 1)
     pad = int(math.ceil(max_range_cells)) + 2 + off_grid
     padded = np.pad(labels, pad, constant_values=UNKNOWN).ravel()
+    unknown = padded == UNKNOWN
+    stops = unknown | (padded == OCCUPIED)
     stride = w + 2 * pad
     origin = cells + 0.5
-    for lo in range(0, len(cells), RAY_CHUNK):
-        hi = lo + RAY_CHUNK
-        ang = bearings[lo:hi, None] + fan
-        rr = np.floor(origin[lo:hi, 0, None, None]
-                      + np.sin(ang)[:, :, None] * dist).astype(np.intp)
-        cc = np.floor(origin[lo:hi, 1, None, None]
-                      + np.cos(ang)[:, :, None] * dist).astype(np.intp)
-        lab = padded.take((rr + pad) * stride + cc + pad)
-        unknown = lab == UNKNOWN
-        stop = unknown | (lab == OCCUPIED)
-        # a ray hits when its first stopping sample is Unknown; a ray with
-        # no stopping sample has argmax 0 and no Unknown there
-        first = stop.argmax(axis=2)[:, :, None]
-        hits = np.take_along_axis(unknown, first, axis=2)
-        out[lo:hi] = np.count_nonzero(hits, axis=(1, 2)) / len(fan)
-    return out
+    # the live rays: ray k leaves cells[ray_cell[k]] along (sin[k], cos[k])
+    ray_cell = np.repeat(np.arange(len(cells)), len(fan))
+    ang = (bearings[:, None] + fan).ravel()
+    sin = np.sin(ang)
+    cos = np.cos(ang, out=ang)
+    hits = np.zeros(len(cells), dtype=np.intp)
+    budget = RAY_CHUNK * len(fan) * nsteps
+    start, size = 0, 2
+    while len(ray_cell) and start < nsteps:
+        d = dist[start:start + size, None]
+        per_pass = budget // len(d)
+        going = np.empty(len(ray_cell), dtype=bool)
+        for lo in range(0, len(ray_cell), per_pass):
+            part = slice(lo, lo + per_pass)
+            c = ray_cell[part]
+            # (samples, rays) arrays, so that each operation runs along
+            # the long ray axis even for a block of two samples; built in
+            # place as floor(origin + sin * dist), then the flat index of
+            # (row + pad, col + pad), which is exact in float64
+            rr = sin[part] * d
+            rr += origin[c, 0]
+            cc = cos[part] * d
+            cc += origin[c, 1]
+            np.floor(rr, out=rr)
+            np.floor(cc, out=cc)
+            rr *= stride
+            rr += cc
+            rr += pad * stride + pad
+            at = rr.astype(np.intp)
+            # each ray's first stopping sample; a ray with none gets its
+            # first sample, which neither stops it nor is Unknown
+            end = at[stops.take(at).argmax(axis=0), np.arange(len(c))]
+            hits += np.bincount(c[unknown[end]], minlength=len(cells))
+            going[part] = ~stops[end]
+        ray_cell, sin, cos = ray_cell[going], sin[going], cos[going]
+        start += size
+        size *= 2
+    return hits / len(fan)
 
 
 def phi_geometric(grid: OccupancyGrid, cell, bearing: float,
@@ -336,12 +367,20 @@ def cluster_goals(grid: OccupancyGrid, frontiers, probs,
 def build_search_graph(grid: OccupancyGrid, goals, robot):
     """Complete graph over the robot and the reachable goal clusters with
     grid shortest-path costs. The robot vertex has probability zero.
-    Returns (Instance or None, vertex cells, dropped goal cells)."""
-    kept = [g for g in goals if g.cell != tuple(robot)]
+
+    One grid_distances call, from the robot and every goal, gives the
+    costs and also the robot's own tree, which a replan reuses for its
+    fallback goal and its path. Returns (Instance or None, vertex cells,
+    dropped goal cells, tree), where tree is the robot's row of distances
+    and of predecessors with the free cells and the cell index."""
+    robot = tuple(robot)
+    kept = [g for g in goals if g.cell != robot]
+    cells = [robot] + [g.cell for g in kept]
+    dist, pred, free, idx = grid_distances(grid, cells)
+    # copies, so that the full matrices are freed on return
+    tree = (dist[0].copy(), pred[0].copy(), free, idx)
     if not kept:
-        return None, [tuple(robot)], []
-    cells = [tuple(robot)] + [g.cell for g in kept]
-    dist, _, _, idx = grid_distances(grid, cells)
+        return None, [robot], [], tree
     node = [idx[c] for c in cells]
     m = len(cells)
     pair = np.empty((m, m))
@@ -352,7 +391,7 @@ def build_search_graph(grid: OccupancyGrid, goals, robot):
     dropped = [cells[i] for i in range(1, m) if not reachable[i]]
     keep_idx = [i for i in range(m) if reachable[i]]
     if len(keep_idx) < 2:
-        return None, [tuple(robot)], dropped
+        return None, [robot], dropped, tree
     sub = pair[np.ix_(keep_idx, keep_idx)]
     np.fill_diagonal(sub, 0.0)
     probs = np.zeros(len(keep_idx))
@@ -361,7 +400,7 @@ def build_search_graph(grid: OccupancyGrid, goals, robot):
             probs[j] = min(kept[i - 1].prob, PROB_CLAMP)
     vertex_cells = [cells[i] for i in keep_idx]
     inst = Instance(sub, probs, 0, "explore")
-    return inst, vertex_cells, dropped
+    return inst, vertex_cells, dropped, tree
 
 
 def _plan_goal(inst: Instance, vertex_cells, planner: str,
@@ -426,13 +465,31 @@ def _goal_alive(frontiers_set, goal, merge_dist) -> bool:
     return False
 
 
+def _nearest_frontier(tree, frontiers):
+    """The first of the reachable frontier cells nearest the robot along
+    its tree, never the robot's own cell; None when there is none."""
+    dist, _, _, idx = tree
+    best = None
+    best_d = np.inf
+    for cell in frontiers:
+        j = idx[cell]
+        if j >= 0 and 0.0 < dist[j] < best_d:
+            best_d = float(dist[j])
+            best = cell
+    return best
+
+
 def run_exploration(world: WorldModel, prior: PriorField, planner: str,
                     cfg: ExploreConfig | None = None, seed: int = 0,
                     name: str = "") -> ExploreLog:
     """Explore until the robot is within success_dist of the target with
     the target cell revealed, the reachable map is exhausted, or the step
     cap is hit. Deterministic for fixed inputs; seed is recorded in the
-    log (trial variation comes from the world, e.g. the start cell)."""
+    log (trial variation comes from the world, e.g. the start cell).
+
+    A replan builds the free-cell graph and runs Dijkstra once, in
+    build_search_graph: the robot's tree from that call gives both the
+    nearest-frontier fallback and the path to the goal."""
     if planner not in PLANNERS:
         raise ValueError(f"unknown planner {planner!r}")
     if cfg is None:
@@ -485,26 +542,17 @@ def run_exploration(world: WorldModel, prior: PriorField, planner: str,
                                        radius_cells)
             goals = cluster_goals(grid, frontiers, probs, cfg.cluster)
             clusters_n = len(goals)
-            inst, cells, _dropped = build_search_graph(grid, goals, robot)
+            inst, cells, _dropped, tree = build_search_graph(grid, goals,
+                                                             robot)
             goal = None
             if inst is not None:
                 goal = _plan_goal(inst, cells, planner, cfg)
             if goal is None:
                 # no plannable cluster; head for the nearest reachable
                 # frontier (never the robot's own cell)
-                dist, _, _gcells, gidx = grid_distances(grid, [robot])
-                best = None
-                best_d = np.inf
-                for cell in frontiers:
-                    j = gidx[cell]
-                    if j >= 0 and 0.0 < dist[0, j] < best_d:
-                        best_d = float(dist[0, j])
-                        best = cell
-                if best is None:
-                    status = "exhausted"
-                    break
-                goal = best
-            path = shortest_path_cells(grid, robot, goal)
+                goal = _nearest_frontier(tree, frontiers)
+            path = None if goal is None else tree_path(tree, robot, goal)
+            del tree  # the robot's tree serves this replan only
             if path is None or len(path) < 2:
                 # every remaining frontier is unreachable from here
                 status = "exhausted"

@@ -277,22 +277,27 @@ def grid_distances(grid: OccupancyGrid, sources: list):
     return dist, pred, cells, idx
 
 
-def shortest_path_cells(grid: OccupancyGrid, src, dst) -> list | None:
-    """Cell sequence from src to dst over known Free cells, or None when
-    disconnected. Endpoints included."""
-    dist, pred, cells, idx = grid_distances(grid, [src])
+def tree_path(tree, src, dst) -> list | None:
+    """Cell sequence from src to dst along tree, the row of a
+    grid_distances result whose source is src: (distances, predecessors,
+    cells, idx). None when dst is not reachable. Endpoints included."""
+    dist, pred, cells, idx = tree
     j = idx[dst]
-    if j < 0 or not np.isfinite(dist[0, j]):
+    if j < 0 or not np.isfinite(dist[j]):
         return None
     path = []
     cur = int(j)
     while cur >= 0:
         path.append((int(cells[cur][0]), int(cells[cur][1])))
-        nxt = int(pred[0, cur])
-        if nxt < 0:
-            break
-        cur = nxt
+        cur = int(pred[cur])
     path.reverse()
     if path[0] != tuple(src):
         return None
     return path
+
+
+def shortest_path_cells(grid: OccupancyGrid, src, dst) -> list | None:
+    """Cell sequence from src to dst over known Free cells, or None when
+    disconnected. Endpoints included."""
+    dist, pred, cells, idx = grid_distances(grid, [src])
+    return tree_path((dist[0], pred[0], cells, idx), src, dst)

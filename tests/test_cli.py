@@ -108,17 +108,28 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "unrecognized arguments: --tie-break" in capsys.readouterr().err
     assert main(["gen", "--sizes", "5", "--p-max", "1.5",
                  "--out", str(tmp_path)]) == 2
-    # runs that would do nothing: no instances, or no trials
+    # runs that would do nothing: no instances, no trials or no count;
+    # and mission configs, which are checked before the CSV header
+    none_dir = tmp_path / "none"
     for argv, reason in ((["bench"], "need instance files or --sizes"),
                          (["lifelong", "--n", "4", "--trials", "-1"],
                           "--trials must be >= 1"),
                          (["explore", "--demo", "accurate", "--trials", "-1"],
-                          "--trials must be >= 1")):
+                          "--trials must be >= 1"),
+                         (["bench", "--sizes", "5", "--count", "0"],
+                          "--count must be >= 1"),
+                         (["gen", "--sizes", "5", "--count", "0",
+                           "--out", str(none_dir)], "--count must be >= 1"),
+                         (["lifelong", "--n", "4", "--max-steps", "0"],
+                          "max_steps must be positive"),
+                         (["lifelong", "--n", "4", "--p-low", "0.5",
+                           "--p-high", "0.5"], "need 0 < p_low < p_high")):
         capsys.readouterr()
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert reason in captured.err
         assert captured.out == ""
+    assert not none_dir.exists()
 
 
 def _exit_code(argv):

@@ -4,15 +4,17 @@ import math
 import numpy as np
 import pytest
 
+import hpppt.exploration
 from hpppt.exploration import (ClusterConfig, ExploreConfig, GoalCluster,
-                               PriorField, assign_probability,
+                               PriorField, _phi_geometric_cells,
+                               assign_probability,
                                build_search_graph, cluster_goals,
                                forest_world, mean_shift, phi_geometric,
                                phi_object, phi_unknown, run_exploration,
                                sample_start, with_start)
 from hpppt.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, WorldModel,
                         extract_frontiers, parse_world, reveal,
-                        shortest_path_cells)
+                        shortest_path_cells, tree_path)
 
 PRIOR = PriorField()
 
@@ -146,8 +148,11 @@ def test_build_search_graph_drops_unreachable():
     g = OccupancyGrid(labels)
     goals = [GoalCluster((0, 1), 0.4, ((0, 1),)),
              GoalCluster((0, 4), 0.6, ((0, 4),))]
-    inst, cells, dropped = build_search_graph(g, goals, (0, 0))
+    inst, cells, dropped, tree = build_search_graph(g, goals, (0, 0))
     assert dropped == [(0, 4)]
+    # the robot's tree from the same search serves the replan's path
+    assert tree_path(tree, (0, 0), (0, 1)) == [(0, 0), (0, 1)]
+    assert tree_path(tree, (0, 0), (0, 4)) is None
     assert cells == [(0, 0), (0, 1)]
     assert inst.n == 2
     assert inst.prob[0] == 0.0
@@ -158,15 +163,20 @@ def test_build_search_graph_drops_unreachable():
 
 def test_build_search_graph_degenerate_cases():
     g = OccupancyGrid(np.full((3, 3), FREE, dtype=np.uint8))
-    inst, cells, dropped = build_search_graph(g, [], (1, 1))
+    inst, cells, dropped, _ = build_search_graph(g, [], (1, 1))
     assert inst is None and cells == [(1, 1)] and dropped == []
     only_self = [GoalCluster((1, 1), 0.7, ((1, 1),))]
-    inst, cells, _ = build_search_graph(g, only_self, (1, 1))
+    inst, cells, _, _ = build_search_graph(g, only_self, (1, 1))
     assert inst is None
 
 
 CORRIDOR = "############\n#R........T#\n############\n"
 SEALED = "############\n#R...#....T#\n############\n"
+# a sealed corridor where the robot's two frontier clusters can merge onto
+# its own cell; such a replan has no plannable goal and heads for the
+# nearest frontier instead
+SEALED_MIDDLE = ("#########\n#...R...#\n#########\n#.T.....#\n"
+                 "#########\n")
 
 
 def test_exploration_finds_target_in_corridor():
@@ -482,3 +492,90 @@ def test_exploration_log_matches_recorded_digest(kind):
                           ExploreConfig(max_steps=150))
     digest = hashlib.sha256(log.to_json_lines().encode()).hexdigest()
     assert digest == A11_LOG_SHA256[kind]
+
+
+# sha256 of to_json_lines() for runs to their end, recorded before each
+# replan shared one Dijkstra tree and before phi_g rays stopped at their
+# first stopping sample
+FULL_LOG_SHA256 = {
+    "accurate":
+        "53303b6483ebe163e4dc089b832e38e8c3eb23e04a713f93ddfce5054f8bcfb7",
+    "misleading":
+        "0d5964a360ee1bef110b7b620684a23275b91ffbb4a54569a29c694b4ad8c25a",
+    "sealed":
+        "ca0d9e7464f244c67154f7d47c992cff6e2094f3d3fc2cac09b74c153bbaff41",
+    "sealed-middle":
+        "ebee43fc51625ee6eeeeaff8f59c9a96f43539d9facea474a1165d6465239de4",
+}
+
+
+@pytest.mark.parametrize("kind, steps", [("accurate", 213),
+                                         ("misleading", 370)])
+def test_full_a11_run_matches_recorded_digest(kind, steps):
+    world = forest_world(seed=0)
+    log = run_exploration(world, _a11_prior(world, kind), "rpt")
+    assert (log.status, len(log.steps)) == ("found", steps)
+    digest = hashlib.sha256(log.to_json_lines().encode()).hexdigest()
+    assert digest == FULL_LOG_SHA256[kind]
+
+
+@pytest.mark.parametrize("kind, text, radius, fallbacks", [
+    ("sealed", SEALED, 3.0, 0),
+    ("sealed-middle", SEALED_MIDDLE, 1.0, 5),
+])
+def test_sealed_run_matches_recorded_digest(monkeypatch, kind, text, radius,
+                                            fallbacks):
+    build = hpppt.exploration.build_search_graph
+    no_graph = []
+
+    def counted(*args):
+        out = build(*args)
+        no_graph.append(out[0] is None)
+        return out
+
+    monkeypatch.setattr(hpppt.exploration, "build_search_graph", counted)
+    log = run_exploration(_world(text, sensor_radius=radius), PRIOR, "rpt",
+                          ExploreConfig(max_steps=200))
+    assert log.status == "exhausted"
+    assert sum(no_graph) == fallbacks
+    digest = hashlib.sha256(log.to_json_lines().encode()).hexdigest()
+    assert digest == FULL_LOG_SHA256[kind]
+
+
+def _random_labels(kind, seed, shape=(48, 48)):
+    if kind == "free":
+        return np.full(shape, FREE, dtype=np.uint8)
+    p_free = {"dense": 0.5, "sparse": 0.97}[kind]
+    p_other = (1.0 - p_free) / 2.0
+    rng = np.random.default_rng(seed)
+    return rng.choice(np.array([FREE, UNKNOWN, OCCUPIED], dtype=np.uint8),
+                      size=shape, p=(p_free, p_other, p_other))
+
+
+# "dense" stops most rays within a few samples, "sparse" lets many run
+# long, and on the all-Free grid a ray stops only by leaving the grid
+@pytest.mark.parametrize("kind", ["dense", "sparse", "free"])
+@pytest.mark.parametrize("fov, rays, ray_step, radius", [
+    (math.pi / 2, 180, 0.5, 10.0),
+    (2.0 * math.pi, 33, 0.3, 10.0),
+    (1.0, 1, 0.5, 20.0),
+    (2.0 * math.pi, 64, 0.7, 15.0),
+])
+def test_phi_geometric_cells_equal_per_cell_reference(kind, fov, rays,
+                                                      ray_step, radius):
+    grid = OccupancyGrid(_random_labels(kind, seed=rays))
+    rng = np.random.default_rng(7)
+    inside = rng.integers(0, 48, size=(37, 2))
+    off_grid = np.array([(-3, 5), (50, 52), (5, -1), (-1, -1), (47, 48),
+                         (24, 24)])
+    cells = np.concatenate([inside, off_grid]).astype(np.intp)
+    bearings = rng.uniform(-math.pi, math.pi, size=len(cells))
+    got = _phi_geometric_cells(grid.labels, cells, bearings, fov, rays,
+                               ray_step, radius)
+    want = [_ref_phi_geometric(grid, tuple(cell), bearing, fov, rays,
+                               ray_step, radius)
+            for cell, bearing in zip(cells.tolist(), bearings.tolist())]
+    assert got.tolist() == want
+    if kind == "free" and radius < 24:
+        # from the middle cell no ray reaches the border, so none stops
+        assert got[-1] == 0.0

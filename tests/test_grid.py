@@ -7,7 +7,7 @@ import pytest
 from hpppt.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, WorldFormatError,
                         WorldModel, extract_frontiers, grid_distances,
                         load_world, parse_world, reveal, save_world,
-                        shortest_path_cells, world_to_text)
+                        shortest_path_cells, tree_path, world_to_text)
 
 ROOM = """\
 #####
@@ -151,6 +151,24 @@ def test_shortest_path_cells_detour_and_blocked():
     walled = labels.copy()
     walled[:, 2] = OCCUPIED
     assert shortest_path_cells(OccupancyGrid(walled), (0, 0), (0, 4)) is None
+
+
+def test_tree_path_of_a_multi_source_row_equals_shortest_path():
+    # a replan walks the robot's row of a Dijkstra run from the robot and
+    # its goals; every path must equal the robot's own single-source one
+    rng = np.random.default_rng(4)
+    labels = rng.choice(np.array([FREE, OCCUPIED, UNKNOWN], dtype=np.uint8),
+                        size=(15, 17), p=(0.7, 0.2, 0.1))
+    g = OccupancyGrid(labels)
+    free = [tuple(c) for c in np.argwhere(labels == FREE).tolist()]
+    robot = free[len(free) // 2]
+    dist, pred, cells, idx = grid_distances(g, [robot] + free[::7])
+    tree = (dist[0], pred[0], cells, idx)
+    targets = [(r, c) for r in range(15) for c in range(17)]
+    paths = [tree_path(tree, robot, cell) for cell in targets]
+    assert paths == [shortest_path_cells(g, robot, cell) for cell in targets]
+    assert sum(p is None for p in paths) > len(targets) - len(free)
+    assert tree_path(tree, free[0], robot) is None  # not free[0]'s tree
 
 
 def test_save_and_load_world(tmp_path):

@@ -8,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 
+import hpppt.exploration
 import hpppt.lifelong
 from hpppt import (GroundTruth, Instance, MissionConfig, SensorModel,
                    generate_random)
+from hpppt.exploration import ExploreConfig, PriorField, forest_world
+from hpppt.grid import OccupancyGrid, WorldModel, parse_world
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -58,3 +61,32 @@ def test_missions_record_solver_and_baseline_spans():
     assert tracer.counts["solver.expansions"] > 0
     # uninstall restores the package's own functions
     assert hpppt.lifelong.solve is hpppt.solver.solve
+
+
+def test_exploration_records_every_layer_and_one_tree_per_replan():
+    spans = _load_spans()
+    tracer = spans.Tracer(_modules(spans))
+    forest = forest_world(size=40, n_trees=20, seed=1)
+    # a sealed corridor, where a replan whose clusters merge onto the
+    # robot's own cell takes the nearest-frontier fallback
+    labels, target, robot = parse_world(
+        "#########\n#...R...#\n#########\n#.T.....#\n#########\n")
+    sealed = WorldModel(OccupancyGrid(labels), target, robot,
+                        sensor_radius=1.0)
+    tracer.install()
+    try:
+        for world, steps in ((forest, 40), (sealed, 200)):
+            log = hpppt.exploration.run_exploration(
+                world, PriorField(), "rpt", ExploreConfig(max_steps=steps))
+            assert log.steps
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    for name in ("exploration.assign_probability", "exploration.mean_shift",
+                 "exploration.cluster_goals",
+                 "exploration.build_search_graph", "grid.grid_distances",
+                 "grid.reveal", "grid.extract_frontiers"):
+        assert totals.get(name, (0,))[0] > 0, name
+    replans = totals["exploration.assign_probability"][0]
+    assert totals["grid.grid_distances"][0] == replans
+    assert hpppt.exploration.grid_distances is hpppt.grid.grid_distances
