@@ -8,7 +8,6 @@ import csv
 import io
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .baselines import (ORACLE_CAP, blind_hpp_solve, greedy_solve,
@@ -202,6 +201,9 @@ def run_grid(sources, solver_tokens, reps: int = 1,
     if jobs == 1 or len(jobs_list) <= 1:
         rows = [_run_one(j) for j in jobs_list]
     else:
+        # imported here: the pool's multiprocessing stack costs about
+        # 25 ms of start-up to every command that never builds one
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             rows = list(ex.map(_run_one, jobs_list))
     rows.sort(key=lambda r: (r["instance"], r["solver"], r["rep"]))

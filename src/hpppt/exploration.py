@@ -353,7 +353,7 @@ def cluster_goals(grid: OccupancyGrid, frontiers, probs,
         d2 = ((free - center[None, :]) ** 2).sum(axis=1)
         pick = free[int(np.argmin(d2))]
         snapped = (int(pick[0]), int(pick[1]))
-        cells = tuple(tuple(pts[m].astype(int)) for m in members)
+        cells = tuple(map(tuple, pts[members].astype(int).tolist()))
         prev = out.get(snapped)
         if prev is None:
             out[snapped] = GoalCluster(snapped, prob, cells)
@@ -381,11 +381,8 @@ def build_search_graph(grid: OccupancyGrid, goals, robot):
     tree = (dist[0].copy(), pred[0].copy(), free, idx)
     if not kept:
         return None, [robot], [], tree
-    node = [idx[c] for c in cells]
     m = len(cells)
-    pair = np.empty((m, m))
-    for i in range(m):
-        pair[i] = dist[i, node]
+    pair = dist[:, [idx[c] for c in cells]]
     reachable = np.isfinite(pair[0])
     reachable[0] = True
     dropped = [cells[i] for i in range(1, m) if not reachable[i]]

@@ -1,0 +1,53 @@
+"""scipy serves only the grid shortest paths. Every other entry point,
+solve, bench and lifelong missions included, imports and runs without
+loading it; a grid search loads it on first use."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+import hpppt
+
+CODE = textwrap.dedent("""
+    import json, sys
+    import hpppt, hpppt.cli, hpppt.solver, hpppt.lifelong, hpppt.formats
+    import hpppt.bench, hpppt.exploration, hpppt.grid
+    import numpy as np
+    from hpppt import (GroundTruth, Instance, MissionConfig, SensorModel,
+                       generate_random, save_instance)
+    from hpppt.cli import main
+    from hpppt.grid import FREE, OCCUPIED, OccupancyGrid, shortest_path_cells
+
+    base = generate_random(6, seed=3)
+    save_instance(base, sys.argv[1])
+    assert main(["solve", sys.argv[1]]) == 0
+    inst = Instance(base.cost, np.full(6, 0.5), 0, base.name, base.coords)
+    log = hpppt.run_mission(inst, GroundTruth.from_targets(6, [2]),
+                            SensorModel(0.9, 0.1),
+                            MissionConfig(planner="rpt", seed=1))
+    before = sorted(m for m in ("scipy", "concurrent.futures.process")
+                    if m in sys.modules)
+    lab = np.full((3, 3), FREE, dtype=np.uint8)
+    lab[1, :2] = OCCUPIED
+    path = shortest_path_cells(OccupancyGrid(lab), (2, 0), (0, 0))
+    print(json.dumps({"before": before, "steps": len(log.steps),
+                      "path": path, "after": "scipy" in sys.modules}))
+""")
+
+
+def test_only_grid_searches_load_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(hpppt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", CODE, str(tmp_path / "small.hpt")], env=env,
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["before"] == []
+    assert out["steps"] > 0
+    assert out["path"] == [[2, 0], [2, 1], [2, 2], [1, 2], [0, 2], [0, 1],
+                           [0, 0]]
+    assert out["after"] is True
