@@ -410,7 +410,8 @@ def _plan_goal(inst: Instance, vertex_cells, planner: str,
     else:
         eps = cfg.focal_eps if inst.n > cfg.vertex_cap else 0.0
         res = solve(inst, SolverConfig(epsilon=eps,
-                                       time_limit=cfg.plan_time_limit))
+                                       time_limit=cfg.plan_time_limit),
+                    first_move=True)
     if res.status != "ok":
         return None
     return vertex_cells[res.path[1]]

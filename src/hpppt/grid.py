@@ -272,7 +272,8 @@ def grid_distances(grid: OccupancyGrid, sources: list):
         if s < 0:
             raise ValueError(f"source {cell} is not a known free cell")
         src.append(s)
-    dist, pred = dijkstra(m, directed=False, indices=src,
+    # _free_graph stores both directions of every edge
+    dist, pred = dijkstra(m, directed=True, indices=src,
                           return_predecessors=True)
     dist = np.atleast_2d(dist)
     pred = np.atleast_2d(pred)

@@ -170,14 +170,15 @@ def plan_next(cost, beliefs, surviving, current: int, planner: str) -> int:
         return current
     verts = [current] + others
     idx = np.array(verts)
-    sub_cost = cost[idx][:, idx]
+    # one broadcast index, one copy; np.ix_ builds the same index slower
+    sub_cost = cost[idx[:, None], idx]
     sub_prob = _clamped(np.asarray(beliefs)[idx])
     if current not in surviving:
         sub_prob[0] = 0.0
     sub = Instance(sub_cost, sub_prob, 0, "replan")
     if planner == "rpt":
         # unbounded: a timed-out replan would silently take the fallback
-        res = solve(sub, SolverConfig(time_limit=None))
+        res = solve(sub, SolverConfig(time_limit=None), first_move=True)
     elif planner == "greedy":
         res = greedy_solve(sub, score=False)
     elif planner == "blind":

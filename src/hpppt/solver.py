@@ -120,6 +120,33 @@ the difference further; the factor 1 + 1e-9, which also absorbs rounding
 triangle inequality superset dominance is unsound anyway, and the cut can
 drain the queue; solve then returns the incumbent's path and U as ok.
 
+The first-move stop. A robot that replans after every reading carries
+out only the first move of each plan, so solve(..., first_move=True)
+returns just (start, u) and stops once u is settled. Each queued state
+belongs to a branch: the root child it descends from. A state is live
+from when it is queued until it is extracted, that is popped from the
+open heap in exact mode (also when it is then pruned) or closed in focal
+mode. After each expansion, if the live states all lie in one branch,
+solve returns that branch's move. Up to that point the search is the full
+one, state for state. Take the goal state that the full search goes on
+to extract, and the states on its path from the root. Each of them was
+generated, and each but the goal was expanded. The first of them not yet
+extracted has been queued, since its parent was expanded when it was
+extracted. So it is live now, and it lies in the goal's branch: the full
+search returns the same move. The argument rests only on which states
+the search extracts and in what order, not on the triangle inequality or
+on the bounds. If the goal is extracted while two branches are live, the
+result is its path's first move. If the queue drains first, the result
+is the incumbent's first move, as the full search returns the incumbent.
+The one gap is a queue that drains after the stop: the full search would
+then return the incumbent, whose first move may lie in another branch.
+The cut drains the queue only without the triangle inequality, where
+superset dominance is unsound anyway. A first-move search is a prefix of
+the full one, so a time limit it hits the full search would hit too, and
+a timeout returns no path in both modes. The bookkeeping runs once per
+extraction and once per expansion, outside the child loop, so a full
+search pays two flag tests per expansion.
+
 Children are scored on Python floats read from lists made once per solve:
 f2 = g + q * (c(v, u) + gamma[u, krem]) first, for the cut, then
 g2 = g + q * c(v, u) for children within it, with f2 raised to the
@@ -186,6 +213,7 @@ class SolveResult:
     status: str  # "ok" or "timeout"
     path: tuple | None
     cost: float | None  # None unless ok; None from an unscored baseline
+    # and from a first-move solve, which returns only the path's first move
     stats: SearchStats = field(default_factory=SearchStats)
 
 
@@ -364,7 +392,8 @@ def _path_to(states, sid):
 
 
 def solve(inst: Instance, cfg: SolverConfig | None = None, *,
-          on_generate=None, on_expand=None) -> SolveResult:
+          on_generate=None, on_expand=None,
+          first_move: bool = False) -> SolveResult:
     """Search for the minimum expected-cost solution path from inst.start.
 
     epsilon = 0 returns an optimal path; epsilon > 0 returns one within
@@ -372,6 +401,10 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     on_generate/on_expand, when given, receive a SearchState for every
     generated/expanded state, with the h of the key it was queued with
     (instrumentation hooks, they slow the search).
+
+    first_move=True returns only (start, next vertex) of the path the full
+    search would return, with cost None, and stops as soon as that move is
+    settled (module docstring, first-move stop).
 
     Optimality of the pruning rules relies on costs satisfying the
     triangle inequality; see instance.require_metric.
@@ -456,6 +489,13 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     status, path, best = None, None, None
     heappush = heapq.heappush
     heappop = heapq.heappop
+    if first_move:
+        # branch[sid]: the vertex of the root child that state sid descends
+        # from (start for the root); live[u]: the queued states of u's
+        # branch that are not yet extracted
+        branch = [start]
+        live = [0] * n
+        live[start] = 1
 
     while open_heap:
         iters += 1
@@ -486,6 +526,8 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
             f, _, g, sid = heappop(open_heap)
 
         live_open -= 1
+        if first_move:
+            live[branch[sid]] -= 1
         v, q, mask, size, _ = states[sid]
 
         if use_pruning:
@@ -581,10 +623,27 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
                     heappush(pending, (f2, sid2, g2))
         if live_open > peak_open:
             peak_open = live_open
+        if first_move:
+            # children join their parent's branch; the root's each open one
+            if sid:
+                br = branch[sid]
+                new = len(states) - len(branch)
+                live[br] += new
+                branch.extend([br] * new)
+            else:
+                branch.extend(st[0] for st in states[1:])
+                for u in branch[1:]:
+                    live[u] = 1
+            if live.count(0) == n - 1:
+                # every later extraction descends from the one live branch
+                status, path = "ok", (start, live.index(max(live)))
+                break
 
     if status is None:
         # the queue drained, which the cut allows only on a non-metric input
         status, path, best = "ok", dive_path, upper
+    if first_move and status == "ok":
+        path, best = path[:2], None
     stats = SearchStats(expansions, generations, pruned_extracted,
                         pruned_generated, peak_open,
                         time.perf_counter() - t0, f0, pruned_bound, upper)

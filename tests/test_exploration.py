@@ -189,6 +189,21 @@ def test_exploration_finds_target_in_corridor():
         assert log.steps[-1].revealed > 0
 
 
+def test_rpt_replans_ask_only_for_the_first_move(monkeypatch):
+    real_solve = hpppt.exploration.solve
+    keywords = []
+
+    def recording(inst, cfg, **kw):
+        keywords.append(kw)
+        return real_solve(inst, cfg, **kw)
+
+    monkeypatch.setattr(hpppt.exploration, "solve", recording)
+    world = _world(CORRIDOR, sensor_radius=3.0)
+    log = run_exploration(world, PRIOR, "rpt", ExploreConfig(max_steps=200))
+    assert log.status == "found"
+    assert keywords and keywords == [{"first_move": True}] * len(keywords)
+
+
 def test_exploration_exhausts_sealed_chamber():
     world = _world(SEALED, sensor_radius=3.0)
     log = run_exploration(world, PRIOR, "rpt", ExploreConfig(max_steps=200))

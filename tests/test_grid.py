@@ -133,6 +133,26 @@ def test_grid_distances_rejects_non_free_source():
         grid_distances(g, [(0, 0)])
 
 
+def test_grid_distances_equal_an_undirected_search():
+    # the free-cell graph holds both directions of every edge, so a
+    # directed search must give the undirected one's arrays bit for bit
+    from scipy.sparse.csgraph import dijkstra
+    from hpppt.grid import _free_graph
+    rng = np.random.default_rng(12)
+    labels = rng.choice(np.array([FREE, OCCUPIED, UNKNOWN], dtype=np.uint8),
+                        size=(30, 40), p=(0.65, 0.25, 0.1))
+    g = OccupancyGrid(labels, resolution=0.5)
+    free = [tuple(c) for c in np.argwhere(labels == FREE).tolist()]
+    sources = free[::37]
+    dist, pred, _, idx = grid_distances(g, sources)
+    ref_dist, ref_pred = dijkstra(_free_graph(g)[0], directed=False,
+                                  indices=[idx[c] for c in sources],
+                                  return_predecessors=True)
+    assert np.array_equal(dist, ref_dist)
+    assert np.array_equal(pred, ref_pred)
+    assert np.isinf(dist).any() and np.isfinite(dist).sum() > len(sources)
+
+
 def test_shortest_path_cells_corridor():
     labels, _, _ = parse_world("R...T\n")
     g = OccupancyGrid(labels)

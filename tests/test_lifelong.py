@@ -160,11 +160,14 @@ def test_plan_next_skips_retired_vertices():
 
 def test_plan_next_falls_back_to_nearest_survivor(monkeypatch):
     """A replan that does not return ok moves to the cheapest survivor,
-    the smaller index on ties; rpt replans run without a time limit."""
+    the smaller index on ties; rpt replans run without a time limit and
+    ask only for the first move."""
     configs = []
+    keywords = []
 
-    def timed_out(inst, cfg):
+    def timed_out(inst, cfg, **kw):
         configs.append(cfg)
+        keywords.append(kw)
         return SolveResult("timeout", None, None)
 
     monkeypatch.setattr(hpppt.lifelong, "solve", timed_out)
@@ -175,6 +178,7 @@ def test_plan_next_falls_back_to_nearest_survivor(monkeypatch):
     assert plan_next(cost, beliefs, {1, 3}, 0, "rpt") == 3
     assert plan_next(cost, beliefs, {0, 1, 2, 3}, 2, "rpt") == 3
     assert [cfg.time_limit for cfg in configs] == [None, None, None]
+    assert keywords == [{"first_move": True}] * 3
 
 
 # sha256 over to_json_lines() of every mission in _digest_missions, recorded

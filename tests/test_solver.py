@@ -245,10 +245,68 @@ def test_drained_queue_returns_incumbent(monkeypatch):
 def test_timeout_reports_status():
     rng = np.random.default_rng(43)
     inst = random_instance(rng, 18, p_max=0.05)
-    res = solve(inst, SolverConfig(use_heuristic=False, use_pruning=False,
-                                   time_limit=1e-9))
-    assert res.status == "timeout"
-    assert res.path is None and res.cost is None
+    for first_move in (False, True):
+        res = solve(inst, SolverConfig(use_heuristic=False, use_pruning=False,
+                                       time_limit=1e-9),
+                    first_move=first_move)
+        assert res.status == "timeout"
+        assert res.path is None and res.cost is None
+
+
+def _inflated(rng, inst):
+    """inst with about 30% of its symmetric entries made 3x dearer, which
+    breaks the triangle inequality."""
+    n = inst.n
+    up = np.triu(rng.random((n, n)) < 0.3, 1)
+    cost = np.where(up | up.T, 3.0 * inst.cost, inst.cost)
+    return Instance(cost, inst.prob, inst.start, inst.name + "-inflated")
+
+
+def test_first_move_equals_full_search_prefix():
+    """A first-move solve returns the full path's first move, no cost and
+    no more expansions, in exact and focal mode, on metric and non-metric
+    costs."""
+    rng = np.random.default_rng(2718)
+    solves = stopped_early = 0
+    for n in range(2, 13):
+        for p_max in (0.1, 0.5, 0.9) * 3:
+            metric = random_instance(rng, n, p_max=p_max)
+            for inst in (metric, _inflated(rng, metric)):
+                for eps in (0.0, 0.02, 0.2):
+                    cfg = SolverConfig(epsilon=eps, time_limit=None)
+                    full = solve(inst, cfg)
+                    first = solve(inst, cfg, first_move=True)
+                    assert first.status == full.status == "ok"
+                    assert first.path == full.path[:2]
+                    assert first.cost is None
+                    assert first.stats.expansions <= full.stats.expansions
+                    solves += 1
+                    stopped_early += (first.stats.expansions
+                                      < full.stats.expansions)
+    assert solves == 11 * 9 * 2 * 3
+    assert stopped_early > 0
+
+
+def test_first_move_of_a_drained_queue_is_the_incumbents(monkeypatch):
+    """An incumbent that claims a zero cost cuts every root child, so the
+    queue drains: the first move is the incumbent's, in both modes."""
+    real_dive = solver_mod._dive
+    dived = {}
+
+    def zero_dive(*args):
+        dived["path"], _ = real_dive(*args)
+        return dived["path"], 0.0
+
+    monkeypatch.setattr(solver_mod, "_dive", zero_dive)
+    rng = np.random.default_rng(31)
+    for n in (2, 5, 9):
+        inst = random_instance(rng, n)
+        for eps in (0.0, 0.2):
+            res = solve(inst, SolverConfig(epsilon=eps), first_move=True)
+            assert res.status == "ok"
+            assert res.path == dived["path"][:2]
+            assert res.cost is None
+            assert res.stats.expansions == 1
 
 
 def test_config_validation():
