@@ -12,6 +12,7 @@ disappears or the frontier set shifts substantially.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,6 +45,11 @@ class PriorField:
         for mean, cov in self.gaussians:
             mean = np.asarray(mean, dtype=np.float64).reshape(2)
             cov = np.asarray(cov, dtype=np.float64).reshape(2, 2)
+            # np.isfinite is False for NaN, which cholesky would accept
+            if not np.isfinite(mean).all():
+                raise ValueError(f"mean {mean.tolist()} is not finite")
+            if not np.isfinite(cov).all():
+                raise ValueError(f"covariance {cov.tolist()} is not finite")
             try:
                 np.linalg.cholesky(cov)
             except np.linalg.LinAlgError:
@@ -55,9 +61,11 @@ class PriorField:
             gs.append((mean, cov))
         object.__setattr__(self, "gaussians", tuple(gs))
         w = tuple(float(x) for x in self.weights)
-        if len(w) != 3 or any(x < 0 for x in w):
-            raise ValueError("weights must be three nonnegative numbers")
-        if sum(w) > 1.0 + 1e-12:
+        # each rule is written so that NaN fails it
+        if len(w) != 3 or not all(0 <= x < math.inf for x in w):
+            raise ValueError(
+                f"weights must be three finite nonnegative numbers, got {w}")
+        if not sum(w) <= 1.0 + 1e-12:
             raise ValueError(f"factor weights sum to {sum(w)}, above 1")
         object.__setattr__(self, "weights", w)
 
@@ -81,7 +89,8 @@ class ClusterConfig:
                  "must be positive")
         _require(self, "merge_dist", self.merge_dist >= 0,
                  "must be nonnegative")
-        _require(self, "max_iter", self.max_iter >= 1, "must be at least 1")
+        _require(self, "max_iter", _integral(self.max_iter)
+                 and self.max_iter >= 1, "must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -99,18 +108,23 @@ class ExploreConfig:
     plan_time_limit: float | None = DEFAULT_TIME_LIMIT
 
     def __post_init__(self):
-        _require(self, "window", self.window >= 0, "must be nonnegative")
+        _require(self, "window", _integral(self.window) and self.window >= 0,
+                 "must be a nonnegative integer")
         _require(self, "phi_g_fov", 0 < self.phi_g_fov <= 2.0 * math.pi,
                  "must lie in (0, 2*pi]")
-        _require(self, "rays", self.rays >= 1, "must be at least 1")
+        _require(self, "rays", _integral(self.rays) and self.rays >= 1,
+                 "must be an integer of at least 1")
         _require(self, "ray_step", self.ray_step > 0, "must be positive")
         _require(self, "success_dist", self.success_dist > 0,
                  "must be positive")
-        _require(self, "vertex_cap", self.vertex_cap >= 1,
-                 "must be at least 1")
+        _require(self, "vertex_cap",
+                 _integral(self.vertex_cap) and self.vertex_cap >= 1,
+                 "must be an integer of at least 1")
         _require(self, "focal_eps", self.focal_eps >= 0,
                  "must be nonnegative")
-        _require(self, "max_steps", self.max_steps >= 0, "must be nonnegative")
+        _require(self, "max_steps",
+                 _integral(self.max_steps) and self.max_steps >= 0,
+                 "must be a nonnegative integer")
         _require(self, "replan_delta", self.replan_delta >= 0,
                  "must be nonnegative")
         _require(self, "plan_time_limit",
@@ -123,6 +137,11 @@ def _require(cfg, name: str, ok: bool, rule: str) -> None:
     if not ok:
         raise ValueError(f"{type(cfg).__name__}.{name} {rule}, "
                          f"got {getattr(cfg, name)!r}")
+
+
+def _integral(value) -> bool:
+    """A Python or numpy integer; a float such as 2.5, or even 2.0, is not."""
+    return isinstance(value, numbers.Integral)
 
 
 def _cell_array(cells) -> np.ndarray:
@@ -212,8 +231,13 @@ def _phi_geometric_cells(labels: np.ndarray, cells: np.ndarray,
             rr += pad * stride + pad
             at = rr.astype(np.intp)
             # each ray's first stopping sample; a ray with none gets its
-            # first sample, which neither stops it nor is Unknown
-            end = at[stops.take(at).argmax(axis=0), np.arange(len(c))]
+            # first sample, which neither stops it nor is Unknown. Rows
+            # are taken from the last to the first, so the first one wins:
+            # a row scan is faster than argmax along the strided axis
+            st = stops.take(at)
+            end = np.where(st[-1], at[-1], at[0])
+            for i in range(len(at) - 2, -1, -1):
+                np.copyto(end, at[i], where=st[i])
             hits += np.bincount(c[unknown[end]], minlength=len(cells))
             going[part] = ~stops[end]
         ray_cell, sin, cos = ray_cell[going], sin[going], cos[going]
@@ -299,14 +323,19 @@ def mean_shift(points: np.ndarray, weights: np.ndarray,
         w_p = np.ones(len(pts))
     centers = pts.copy()
     two_bw2 = 2.0 * cfg.bandwidth * cfg.bandwidth
-    px, py = pts[:, 0].copy(), pts[:, 1].copy()
-    w = np.empty((len(pts), len(pts)))
-    dy = np.empty_like(w)
+    # px[i, j] = pts[j, 0]: subtracting a full (F, F) array is about twice
+    # as fast as broadcasting a row against a column of centers
+    px = np.tile(pts[:, 0], (len(pts), 1))
+    py = np.tile(pts[:, 1], (len(pts), 1))
+    w = np.empty_like(px)
+    dy = np.empty_like(px)
     for _ in range(cfg.max_iter):
         # w = w_p * exp(-|c - p|^2 / two_bw2), built in place on two (F, F)
         # arrays with the same operations as the broadcast form
-        np.subtract(centers[:, 0, None], px, out=w)
-        np.subtract(centers[:, 1, None], py, out=dy)
+        np.copyto(w, centers[:, 0, None])
+        w -= px
+        np.copyto(dy, centers[:, 1, None])
+        dy -= py
         w *= w
         dy *= dy
         w += dy

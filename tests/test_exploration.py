@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +36,24 @@ def test_prior_field_validation():
         PriorField(weights=(0.5, 0.5))
     with pytest.raises(ValueError, match="positive definite"):
         PriorField(gaussians=(((0, 0), ((1, 2), (2, 1))),))
+    nan, inf = float("nan"), float("inf")
+    for weights in ((nan, 0.2, 0.5), (0.3, inf, 0.5), (0.3, 0.2, -inf)):
+        with pytest.raises(ValueError, match="three finite nonnegative"):
+            PriorField(weights=weights)
+    eye = ((1.0, 0.0), (0.0, 1.0))
+    for mean in ((nan, 0.0), (0.0, inf)):
+        with pytest.raises(ValueError, match="mean .* is not finite"):
+            PriorField(gaussians=((mean, eye),))
+    for cov in (((nan, 0.0), (0.0, 1.0)), ((1.0, 0.0), (0.0, inf)),
+                ((nan, nan), (nan, nan))):
+        with pytest.raises(ValueError, match="covariance .* is not finite"):
+            PriorField(gaussians=(((0.0, 0.0), cov),))
+    # json.load reads NaN, so a sidecar can carry one
+    with pytest.raises(ValueError, match="three finite nonnegative"):
+        PriorField.from_config(json.loads('{"weights": [NaN, 0.2, 0.5]}'))
+    with pytest.raises(ValueError, match="mean .* is not finite"):
+        PriorField.from_config(json.loads(
+            '{"gaussians": [{"mean": [NaN, 1], "cov": [[1, 0], [0, 1]]}]}'))
 
 
 def test_prior_field_from_config():
@@ -269,21 +289,29 @@ def test_exploration_frontier_counts_logged():
 
 @pytest.mark.parametrize("cls, name, value", [
     (ExploreConfig, "window", -1),
+    (ExploreConfig, "window", 1.5),
     (ExploreConfig, "phi_g_fov", 0.0),
     (ExploreConfig, "phi_g_fov", 2.0 * math.pi + 1e-9),
     (ExploreConfig, "phi_g_fov", float("nan")),
     (ExploreConfig, "rays", 0),
+    (ExploreConfig, "rays", 2.5),
+    (ExploreConfig, "rays", 180.0),
     (ExploreConfig, "ray_step", 0.0),
     (ExploreConfig, "success_dist", 0.0),
     (ExploreConfig, "vertex_cap", 0),
+    (ExploreConfig, "vertex_cap", 40.5),
     (ExploreConfig, "focal_eps", -0.01),
     (ExploreConfig, "max_steps", -1),
+    (ExploreConfig, "max_steps", 2.5),
+    (ExploreConfig, "max_steps", float("nan")),
     (ExploreConfig, "replan_delta", -0.1),
     (ExploreConfig, "plan_time_limit", 0.0),
     (ClusterConfig, "bandwidth", 0.0),
     (ClusterConfig, "converge_tol", -1.0),
     (ClusterConfig, "merge_dist", -0.5),
     (ClusterConfig, "max_iter", 0),
+    (ClusterConfig, "max_iter", 2.5),
+    (ClusterConfig, "max_iter", np.float64(50.0)),
 ])
 def test_config_rejects_values_that_cannot_take_effect(cls, name, value):
     with pytest.raises(ValueError, match=rf"{cls.__name__}\.{name} "):
@@ -295,6 +323,10 @@ def test_config_accepts_boundary_values():
     ExploreConfig(window=0, phi_g_fov=2.0 * math.pi, rays=1, max_steps=0,
                   focal_eps=0.0, replan_delta=0.0, vertex_cap=1,
                   plan_time_limit=None)
+    # numpy integers count as integers
+    ClusterConfig(max_iter=np.int64(1))
+    ExploreConfig(window=np.int32(0), rays=np.int64(1),
+                  vertex_cap=np.uint8(1), max_steps=np.int64(0))
 
 
 # The references below are the broadcast and per-cell forms that
@@ -452,6 +484,22 @@ def test_mean_shift_equals_broadcast_reference(bandwidth, weights):
     cfg = ClusterConfig(bandwidth=bandwidth)
     got = mean_shift(pts, w, cfg)
     assert got.tolist() == _reference_mean_shift(pts, w, cfg).tolist()
+    # smaller and larger inputs, and runs that stop early
+    rng = np.random.default_rng(11)
+    big = rng.integers(0, 100, size=(320, 2)).astype(np.float64)
+    big_w = rng.uniform(0.0, 1.0, len(big)) * (weights == "probs")
+    twice = np.repeat(pts[:6], 2, axis=0)
+    for p, pw, c in (
+            (pts[:1], w[:1], cfg),
+            (pts[:2], w[:2], cfg),
+            (twice, np.repeat(w[:6], 2), cfg),
+            (np.full((5, 2), 7.0), w[:5], cfg),
+            (pts, w, replace(cfg, max_iter=1)),
+            (pts, w, replace(cfg, converge_tol=1e3)),
+            (pts, w, replace(cfg, converge_tol=0.5)),
+            (big, big_w, cfg)):
+        got = mean_shift(p, pw, c)
+        assert got.tolist() == _reference_mean_shift(p, pw, c).tolist()
 
 
 def _reference_cluster_goals(grid, frontiers, probs, cfg):
@@ -575,6 +623,10 @@ def _random_labels(kind, seed, shape=(48, 48)):
     (2.0 * math.pi, 33, 0.3, 10.0),
     (1.0, 1, 0.5, 20.0),
     (2.0 * math.pi, 64, 0.7, 15.0),
+    # a radius below ray_step: one block of a single sample
+    (2.0 * math.pi, 33, 0.5, 0.4),
+    # three samples: a block of two, then a block of one
+    (math.pi / 2, 180, 0.5, 1.5),
 ])
 def test_phi_geometric_cells_equal_per_cell_reference(kind, fov, rays,
                                                       ray_step, radius):
