@@ -15,7 +15,7 @@ from .baselines import (ORACLE_CAP, blind_hpp_solve, greedy_solve,
 from .formats import load_instance
 from .generate import assign_probabilities, derive_seed, generate_random
 from .instance import Instance
-from .solver import SolverConfig, solve
+from .solver import DEFAULT_TIME_LIMIT, SolverConfig, solve
 
 CSV_HEADER = ("instance", "n", "solver", "eps", "heuristic", "status",
               "cost", "cost_ratio", "expansions", "prunes", "wall_time")
@@ -176,7 +176,7 @@ def _run_one(job: dict) -> dict:
 
 
 def run_grid(sources, solver_tokens, reps: int = 1,
-             time_limit: float = 60.0, jobs: int = 1) -> list:
+             time_limit: float = DEFAULT_TIME_LIMIT, jobs: int = 1) -> list:
     """Run every source x solver x repetition; returns rows sorted by
     (instance, solver, repetition) with cost ratios attached."""
     if reps < 1:

@@ -12,7 +12,6 @@ disappears or the frontier set shifts substantially.
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,7 +21,7 @@ from .grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, WorldModel,
                    extract_frontiers, grid_distances, reveal,
                    shortest_path_cells, tree_path)
 from .instance import Instance
-from .lifelong import PLANNERS
+from .lifelong import PLANNERS, _integral
 from .solver import DEFAULT_TIME_LIMIT, SolverConfig, solve
 
 PROB_CLAMP = 1.0 - 1e-9
@@ -137,11 +136,6 @@ def _require(cfg, name: str, ok: bool, rule: str) -> None:
     if not ok:
         raise ValueError(f"{type(cfg).__name__}.{name} {rule}, "
                          f"got {getattr(cfg, name)!r}")
-
-
-def _integral(value) -> bool:
-    """A Python or numpy integer; a float such as 2.5, or even 2.0, is not."""
-    return isinstance(value, numbers.Integral)
 
 
 def _cell_array(cells) -> np.ndarray:

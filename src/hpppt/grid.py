@@ -25,8 +25,10 @@ class OccupancyGrid:
         labels = np.asarray(labels, dtype=np.uint8)
         if labels.ndim != 2:
             raise ValueError("labels must be a 2d array")
-        if resolution <= 0:
-            raise ValueError("resolution must be positive")
+        # written so that NaN fails it
+        if not 0.0 < resolution < math.inf:
+            raise ValueError(
+                f"resolution must be positive and finite, got {resolution}")
         self.labels = labels
         self.resolution = float(resolution)
 
@@ -50,9 +52,6 @@ class OccupancyGrid:
         r, c = cell
         return ((c + 0.5) * self.resolution, (r + 0.5) * self.resolution)
 
-    def copy(self) -> "OccupancyGrid":
-        return OccupancyGrid(self.labels.copy(), self.resolution)
-
 
 @dataclass
 class WorldModel:
@@ -70,8 +69,11 @@ class WorldModel:
         for name, cell in (("target", self.target), ("robot", self.robot)):
             if self.truth.label(cell) != FREE:
                 raise WorldFormatError(f"{name} cell {cell} is not free")
-        if self.sensor_radius <= 0:
-            raise WorldFormatError("sensor radius must be positive")
+        # written so that NaN fails it
+        if not 0.0 < self.sensor_radius < math.inf:
+            raise WorldFormatError(
+                "sensor radius must be positive and finite, "
+                f"got {self.sensor_radius}")
 
 
 def parse_world(text: str):

@@ -15,6 +15,7 @@ Observation draws come from a counter-based stream seeded by
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,13 +77,23 @@ class MissionConfig:
     max_steps: int = 10_000
 
     def __post_init__(self):
+        # each rule is written so that NaN fails it
         if not (0.0 < self.p_low < self.p_high < 1.0):
             raise ValueError(
                 f"need 0 < p_low < p_high < 1, got {self.p_low}, {self.p_high}")
         if self.planner not in PLANNERS:
             raise ValueError(f"unknown planner {self.planner!r}")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
+        if not (_integral(self.seed) and self.seed >= 0):
+            raise ValueError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
+        if not (_integral(self.max_steps) and self.max_steps >= 1):
+            raise ValueError("max_steps must be positive and integral, "
+                             f"got {self.max_steps!r}")
+
+
+def _integral(value) -> bool:
+    """A Python or numpy integer; a float such as 2.5, or even 2.0, is not."""
+    return isinstance(value, numbers.Integral)
 
 
 @dataclass

@@ -52,17 +52,17 @@ exact extraction order and the focal floor below rely on.
 Pruning: a state is dominated when another state at the same vertex has
 visited a superset of its vertices at no greater g (1e-9 slack). An exact
 duplicate table (best g per (vertex, visited-set)) catches equal-set
-repeats cheaply, including ones still waiting in the queue. Each vertex
-also keeps a frontier of its expanded states, bucketed by the size of
-their visited set and sorted by g within a bucket. A superset of a
-k-vertex set has more than k vertices or is the same set, and the
-duplicate table has already settled the same set under the same slack, so
-a superset query (_has_superset) scans only the buckets above k, each up
-to g + slack. The frontier only grows: a state that an expanded state
-dominates stays in it, as it was expanded itself, and a query that it
-answers is answered by the same superset rule. The scan stops at the
-largest size yet expanded at that vertex, so a shallow frontier costs next
-to nothing.
+repeats cheaply, including ones still waiting in the queue. Superset
+dominance is checked once per state, when it is extracted, against a
+frontier of the expanded states at its vertex. The frontier only grows, so
+a child dominated when it is generated is still dominated then, as A* may
+test closure at expansion (Hart, Nilsson & Raphael 1968); until then it
+waits in the queue. Each frontier is bucketed by the size of the visited
+set and sorted by g within a bucket. A superset of a k-vertex set has more
+than k vertices or is the same set, which the duplicate table settles
+under the same slack, so a query (_has_superset) scans only the buckets
+above k, each up to g + slack, and stops at the largest size yet expanded
+at that vertex. Entries stay even once dominated, as each was expanded.
 
 Exact search extracts the least f, ties to the state with fewest
 unvisited vertices, then the least g, then the first generated. Setting
@@ -99,7 +99,10 @@ peak_open fall. The argument, in exact arithmetic:
   by the triangle inequality). Along the way the duplicate table adds a
   net slack at most once per set size, as a displacing state is cheaper
   by more than a slack, and superset dominance at most once per larger
-  size it jumps to. So every extracted f, exact or focal, is at most
+  size it jumps to. A duplicate link keeps the set and a superset link
+  enlarges it, so the count holds in any order of links, as for a child
+  pruned as a duplicate of a queued state that superset dominance drops
+  later. So every extracted f, exact or focal, is at most
   (1 + epsilon) * (C* + (2n - 1) slack).
 - A child's key is at least its gamma key, as the pairing term and
   pathmax only raise it. So a cut child is never extracted, and it never
@@ -125,33 +128,34 @@ out only the first move of each plan, so solve(..., first_move=True)
 returns just (start, u) and stops once u is settled. Each queued state
 belongs to a branch: the root child it descends from. A state is live
 from when it is queued until it is extracted, that is popped from the
-open heap in exact mode (also when it is then pruned) or closed in focal
-mode. After each expansion, if the live states all lie in one branch,
-solve returns that branch's move. Up to that point the search is the full
-one, state for state. Take the goal state that the full search goes on
-to extract, and the states on its path from the root. Each of them was
-generated, and each but the goal was expanded. The first of them not yet
-extracted has been queued, since its parent was expanded when it was
-extracted. So it is live now, and it lies in the goal's branch: the full
-search returns the same move. The argument rests only on which states
-the search extracts and in what order, not on the triangle inequality or
-on the bounds. If the goal is extracted while two branches are live, the
-result is its path's first move. If the queue drains first, the result
-is the incumbent's first move, as the full search returns the incumbent.
-The one gap is a queue that drains after the stop: the full search would
-then return the incumbent, whose first move may lie in another branch.
-The cut drains the queue only without the triangle inequality, where
-superset dominance is unsound anyway. A first-move search is a prefix of
-the full one, so a time limit it hits the full search would hit too, and
-a timeout returns no path in both modes. The bookkeeping runs once per
-extraction and once per expansion, outside the child loop, so a full
-search pays two flag tests per expansion.
+open heap in exact mode or closed in focal mode, also when it is then
+pruned: a dominated child keeps its branch live until then. After each
+expansion, if the live states all lie in one branch, solve returns that
+branch's move. Up to that point the search is the full one, state for
+state. Take the goal state that the full search goes on to extract, and
+the states on its path from the root. Each of them was generated, and each
+but the goal was expanded. The first of them not yet extracted has been
+queued, since its parent was expanded when it was extracted. So it is live
+now, and it lies in the goal's branch: the full search returns the same
+move. The argument rests only on which states the search extracts and in
+what order, not on the triangle inequality or on the bounds. If the goal
+is extracted while two branches are live, the result is its path's first
+move. If the queue drains first, the result is the incumbent's first move,
+as the full search returns the incumbent. The one gap is a queue that
+drains after the stop: the full search would then return the incumbent,
+whose first move may lie in another branch. The cut drains the queue only
+without the triangle inequality, where superset dominance is unsound
+anyway. A first-move search is a prefix of the full one, so a time limit
+it hits the full search would hit too, and a timeout returns no path in
+both modes. The bookkeeping runs once per extraction and once per
+expansion, outside the child loop, so a full search pays two flag tests
+per expansion.
 
 Children are scored on Python floats read from lists made once per solve:
 f2 = g + q * (c(v, u) + gamma[u, krem]) first, for the cut, then
 g2 = g + q * c(v, u) for children within it, with f2 raised to the
 pairing bound and by pathmax where the root rule applies to children that
-survive the duplicate and superset checks. These are the same IEEE double
+survive the duplicate check. These are the same IEEE double
 operations in the same order as whole-row numpy arithmetic, and Python
 fuses no multiply-add, so every bit, and hence every search, is the same
 as with numpy rows.
@@ -194,8 +198,8 @@ class SolverConfig:
 class SearchStats:
     expansions: int = 0
     generations: int = 0
-    pruned_extracted: int = 0
-    pruned_generated: int = 0
+    pruned_extracted: int = 0  # popped duplicates and dominated states
+    pruned_generated: int = 0  # children the duplicate table rejected
     peak_open: int = 0
     wall_time: float = 0.0
     root_bound: float | None = None  # f of the start state; None: no search
@@ -591,11 +595,6 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
                 key = (u, m2)
                 hit = bestg.get(key)
                 if hit is not None and g2 >= hit[0] - TOL:
-                    pruned_generated += 1
-                    continue
-                gb = bucket_g[u]
-                if len(gb) > size2 + 1 and _has_superset(
-                        gb, bucket_m[u], size2, m2, g2 + TOL):
                     pruned_generated += 1
                     continue
                 sid2 = len(states)

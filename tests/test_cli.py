@@ -122,6 +122,8 @@ def test_config_errors_exit_two(tmp_path, capsys):
                            "--out", str(none_dir)], "--count must be >= 1"),
                          (["lifelong", "--n", "4", "--max-steps", "0"],
                           "max_steps must be positive"),
+                         (["lifelong", "--n", "4", "--seed", "-1"],
+                          "seed must be a non-negative integer"),
                          (["lifelong", "--n", "4", "--p-low", "0.5",
                            "--p-high", "0.5"], "need 0 < p_low < p_high")):
         capsys.readouterr()

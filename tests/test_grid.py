@@ -47,7 +47,7 @@ def test_parse_world_errors():
         parse_world("R..\n")
 
 
-def test_world_validation():
+def test_world_validation(tmp_path):
     labels, target, robot = parse_world(ROOM)
     with pytest.raises(WorldFormatError, match="not free"):
         WorldModel(truth=OccupancyGrid(labels), target=(0, 0), robot=robot)
@@ -55,6 +55,20 @@ def test_world_validation():
     holed[1, 2] = UNKNOWN
     with pytest.raises(WorldFormatError, match="fully labeled"):
         WorldModel(truth=OccupancyGrid(holed), target=target, robot=robot)
+    # NaN and inf would stop an exploration part-way, in the reveal's cell
+    # arithmetic; a sidecar can carry them, as json reads NaN and Infinity
+    world = WorldModel(truth=OccupancyGrid(labels), target=target,
+                       robot=robot)
+    map_path = tmp_path / "room.txt"
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            OccupancyGrid(labels, bad)
+        with pytest.raises(WorldFormatError, match="sensor radius must be"):
+            _world(ROOM, sensor_radius=bad)
+        for key in ("resolution", "sensor_radius"):
+            save_world(world, map_path, {key: bad})
+            with pytest.raises(ValueError, match="must be positive"):
+                load_world(map_path)
 
 
 def test_grid_label_and_center():

@@ -436,6 +436,35 @@ def test_has_superset_matches_plain_scan():
     assert at_limit > 10
 
 
+def test_superset_dominance_runs_once_per_extraction(monkeypatch):
+    """_has_superset runs only on extracted states, at most once each, not
+    on generated children: on low-p inputs most children are never
+    extracted, so a scan per child would far outnumber the extractions."""
+    real = solver_mod._has_superset
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(solver_mod, "_has_superset", counting)
+    rng = np.random.default_rng(113)
+    cases = [make_instance(n, index, 7, 0.1)
+             for n in (13, 14, 15) for index in range(4)]
+    cases += [random_instance(rng, int(rng.integers(8, 12)), p_max=p_max)
+              for p_max in (0.1, 0.5, 0.9)]
+    scanned = 0
+    for inst in cases:
+        for eps in (0.0, 0.05):
+            calls[0] = 0
+            res = solve(inst, SolverConfig(epsilon=eps, time_limit=None))
+            assert res.status == "ok"
+            s = res.stats
+            assert calls[0] <= s.expansions + s.pruned_extracted
+            scanned += calls[0]
+    assert scanned > 0
+
+
 def test_root_bound_reports_root_key():
     for inst in (make_instance(12, 1, 3, 0.1), make_instance(12, 0, 3, 0.9)):
         table = build_heuristic_table(inst)
@@ -553,11 +582,20 @@ def test_pairing_keys_never_fall_below_parent():
 # n = 35 moved, where the slack decides prunes, and SEARCH_RESULT_DIGEST
 # pins every path and cost. All four grid digests were recorded again when
 # the second queue order went: each equals the digest of the same searches
-# under the one order that remains, taken before it went.
+# under the one order that remains, taken before it went. Both were
+# recorded again when superset dominance moved to extraction only: every
+# path and cost bit stayed (SEARCH_RESULT_DIGEST holds), pruned_extracted
+# moved in 26 cells and pruned_generated and peak_open in 31, as dominated
+# children now wait in the queue and are dropped when popped. Expansions
+# and generations moved in two focal gamma-only cells, as a queued
+# dominated state can set the focal floor or prune a later child as a
+# duplicate before it is popped: rand-n010-k00-s3 at eps 0.02 without the
+# heuristic (735 -> 719 expansions) and rand-n012-k00-s3 at eps 0.2
+# (516 -> 576).
 GAMMA_GRID_DIGEST = (
-    "376c162559c903c3a3b9d4deeb05721071c741d4d22937b371ed0541ef0fb8cc")
+    "b961de01fb38bf55f64d9855b1cb01f5a30bb6f402fdf683cb4e960d20fa650f")
 PAIRING_GRID_DIGEST = (
-    "ec9f0a9e3a86786568da48f39a52d6f0d24fec0661e5da8b47277ed547d32a86")
+    "614970e50f4bdd781b970fe3573c60c35280d7077d97374973fe1be7ffc6f195")
 
 
 def _search_grid():
@@ -605,8 +643,10 @@ def test_searches_match_recorded_digest(grid_results):
 # the counts of generated prunes and of the peak queue may move. Recorded
 # again with the append-only frontier, for the same four searches as
 # GAMMA_GRID_DIGEST, and with one queue order, as the grid digests above.
+# Recorded again when superset dominance moved to extraction only, for the
+# pruned_extracted counts and the two focal cells named above.
 SEARCH_IDENTITY_DIGEST = (
-    "73155afaa09b1e955630452e94d52ca16b240e7045e6dde03bd78e9c8a043cde")
+    "6e95809805b9a9623e106f72d9a1782c0effdf7d57e709a8cff9499e91e644e0")
 
 
 def test_searches_keep_recorded_identity(grid_results):
