@@ -238,6 +238,10 @@ def _demo_world(kind: str, seed: int):
 
 
 def cmd_explore(args) -> int:
+    # trial seeds count up from --seed, so one check covers them all
+    if args.seed < 0:
+        raise BenchConfigError(
+            f"seed must be a non-negative integer, got {args.seed}")
     time_limit = resolve_time_limit(args.time_limit)
     if args.trials < 1:
         raise BenchConfigError("--trials must be >= 1")

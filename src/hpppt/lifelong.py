@@ -92,8 +92,9 @@ class MissionConfig:
 
 
 def _integral(value) -> bool:
-    """A Python or numpy integer; a float such as 2.5, or even 2.0, is not."""
-    return isinstance(value, numbers.Integral)
+    """A Python or numpy integer; a float such as 2.5, or even 2.0, is not,
+    and neither is a bool, though bool subclasses int."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass

@@ -12,42 +12,63 @@ the survival weight before v's own termination factor. The table ignores
 which vertices remain, so at low termination probabilities it reaches
 only about 0.4 of the optimum at the root.
 
-The pairing bound looks at the remaining set R instead. A child u of an
-expanded state must still enter every w in R - {u} exactly once, from
-some x in R - {w}, so that hop costs at least E(w) = min over x in
-R - {w} of c(x, w), which is the same for every child of the state. The
-j-th hop (j = 0, 1, ...) is weighted by q(u) times the product of 1 - p
-over the j vertices entered before it, which is at least q(u) times the
-product of the j smallest 1 - p in R - {u}. These weights fall with j, so
-by the rearrangement inequality no order of entries costs less than the
-sum of the entries sorted ascending, each times the weight of the same
-rank. The bound needs no triangle inequality. For each remaining set it
-costs a scan of per-vertex source lists sorted once per solve, two sorts
-of R and four prefix sums, after which each child's bound takes O(1)
-(_pairing_tails); states at different vertices with the same remaining
-set share the result.
+The tree bound looks at the remaining set R instead. A child u of an
+expanded state must still visit R - {u} from u, and the hops of that path
+form a spanning tree of R, each hop costing at least csym = min(c, c^T)
+of its ends. By the greedy property of the graphic matroid, the j-th
+cheapest edge of any spanning tree of R costs at least K_j, the j-th
+cheapest edge of a minimum spanning tree of R (Gale 1968; Fischetti,
+Laporte & Martello 1993 bound the delivery man problem with these
+cumulative sums). The j-th hop (j = 0, 1, ...) is weighted by q(u) times
+the product of 1 - p over the j vertices entered before it, which is at
+least q(u) times P_j(R - {u}), the product of the j smallest 1 - p in
+R - {u}. These weights fall with j, so by the rearrangement inequality no
+order of hops costs less than the hops sorted ascending, each times the
+weight of the same rank, and that sum is at least the sum of K_j
+P_j(R - {u}). The bound needs no triangle inequality. Every child of a
+state spans the same R, so each remaining set costs one Prim on lists,
+a sort of R and two prefix sums, after which each child's bound takes
+O(1), u's rank among the factors shifting the later weights to
+P_{j+1}(R) / (1 - p(u)) (_tree_tails); states at different vertices with
+the same remaining set share the result.
 
-The root rule picks the bounds per solve. build_heuristic_table also
-evaluates the pairing bound at the start state, from the entry minima of
-its cost matrix; only when that beats gamma's root value is a child's f
-the larger of the two bounds. On other inputs the pairing term rarely
-pays for its cost per expansion, and the search is exactly the
-gamma-only one.
+On symmetric costs the tree bound is never below the pairing bound, which
+pairs the same weights with the entry minima E(w) = min over x in R - {w}
+of c(x, w), sorted ascending. Root the tree at u: each w in R - {u} has
+a parent edge costing at least E(w), so the sorted tree edges dominate
+the sorted entries term by term. On asymmetric costs neither bound
+dominates, and both stay admissible.
 
-The pairing bound is consistent. At a state at v with remaining set R,
-the hop to u costs at least u's entry, since v is one of its sources,
-and the child's weights times 1 - p(u) are at least the state's weights
-of the next ranks, as {u} plus the j smallest factors of R - {u} are
-j + 1 factors of R. So the hop cost plus the child's bound pairs the
-state's entries with its weights in some order, which by the
-rearrangement inequality is no less than the state's bound. The max of
-two consistent bounds is consistent too. In floating point the prefix
-sums can still leave a child's f a few ulps below its parent's, so a
-solve that uses the pairing term also applies pathmax (Mérő 1984): a
-child's f is raised to its parent's f. That keeps the bound admissible,
-since the parent's f is a lower bound on every completion through it,
-and it makes the least f in the queue exactly non-decreasing, which
-exact extraction order and the focal floor below rely on.
+The root rule picks the bounds per solve, from the instance alone.
+build_heuristic_table evaluates the pairing bound at the start state
+from the entry minima of its cost matrix, which costs far less than a
+tree. A solve uses the tree bound iff n >= TREE_FLOOR and that pairing
+value beats gamma's root value; the root key is then the largest of
+gamma's, the pairing and the tree root values, and a child's f is the
+larger of its gamma and tree bounds. Otherwise the search is exactly the
+gamma-only one. The floor is measured. Full solves gain from the tree
+from about eight vertices on, but first-move replans, which stop after a
+few expansions, do not repay a tree per remaining set; of the floors
+tried (8, 10, 12 and 14), 12 made a round of lifelong replans fastest.
+
+The tree bound is consistent. At a state at v with remaining set S, a
+child u adds c(v, u) at the state's weight and spans S - {u} + {u} = S.
+The edge (v, u) and a minimum tree of S form a spanning tree of
+S + {v}, so term by term the sorted edges of the state's tree are at
+most the sorted multiset of c(v, u) and the child's K_j (Gale). Pairing
+that multiset with the state's weights P_j(S) in the order that gives
+c(v, u) weight P_0 = 1 and K_j weight P_{j+1}(S) costs no less, by the
+rearrangement inequality, and P_{j+1}(S) <= (1 - p(u)) P_j(S - {u}),
+as {u} plus the j smallest factors of S - {u} are j + 1 factors of S.
+So the hop cost plus the child's bound is at least the state's bound.
+The max of two consistent bounds is consistent too. In floating point
+the prefix sums can still leave a child's f a few ulps below its
+parent's, so a solve that uses the tree term also applies pathmax (Mérő
+1984): a child's f is raised to its parent's f. That keeps the bound
+admissible, since the parent's f is a lower bound on every completion
+through it, and it makes the least f in the queue exactly
+non-decreasing, which exact extraction order and the focal floor below
+rely on.
 
 Pruning: a state is dominated when another state at the same vertex has
 visited a superset of its vertices at no greater g (1e-9 slack). An exact
@@ -104,11 +125,11 @@ peak_open fall. The argument, in exact arithmetic:
   pruned as a duplicate of a queued state that superset dominance drops
   later. So every extracted f, exact or focal, is at most
   (1 + epsilon) * (C* + (2n - 1) slack).
-- A child's key is at least its gamma key, as the pairing term and
-  pathmax only raise it. So a cut child is never extracted, and it never
+- A child's key is at least its gamma key, as the tree term and pathmax
+  only raise it. So a cut child is never extracted, and it never
   joins a frontier. Its one other effect would be its duplicate-table
   entry: the states at its (vertex, visited-set) pair that it would
-  displace or reject. At one pair q, gamma and the pairing tail are fixed,
+  displace or reject. At one pair q, gamma and the tree tail are fixed,
   so each key there is g plus the same constant, and every such state has
   g at least the cut child's less a slack: its key lies above the cut less
   a slack, above every extracted f. A state that the two searches queue
@@ -154,7 +175,7 @@ per expansion.
 Children are scored on Python floats read from lists made once per solve:
 f2 = g + q * (c(v, u) + gamma[u, krem]) first, for the cut, then
 g2 = g + q * c(v, u) for children within it, with f2 raised to the
-pairing bound and by pathmax where the root rule applies to children that
+tree bound and by pathmax where the root rule applies to children that
 survive the duplicate check. These are the same IEEE double
 operations in the same order as whole-row numpy arithmetic, and Python
 fuses no multiply-add, so every bit, and hence every search, is the same
@@ -172,6 +193,9 @@ from .instance import Instance
 
 DOMINANCE_TOL = 1e-9
 DEFAULT_TIME_LIMIT = 60.0
+# the fewest vertices on which the root rule may pick the tree bound, set by
+# measurement (module docstring)
+TREE_FLOOR = 12
 
 
 class InvalidConfigError(ValueError):
@@ -239,7 +263,7 @@ class SearchState:
 @dataclass(frozen=True)
 class HeuristicTable:
     gamma: np.ndarray  # gamma[v, k]: discounted k-hop relaxation from v
-    pairing_root: float = 0.0  # pairing bound at the start state
+    pairing_root: float = 0.0  # pairing bound at the root: the rule's screen
 
 
 def build_heuristic_table(inst: Instance) -> HeuristicTable:
@@ -287,63 +311,53 @@ def heuristic_value(table: HeuristicTable, inst: Instance,
     return float(s.q / (1.0 - inst.prob[s.v]) * table.gamma[s.v, k])
 
 
-def _pairing_tails(rem, sources, entry_cost, omp):
-    """Map every u in the bit set rem (at least two vertices) to the
-    pairing bound on the cost of visiting rem - {u} from u at unit survival
-    weight (module docstring). sources[w] lists the vertices by ascending
-    cost(x, w), w itself last, and entry_cost[w] those costs."""
-    ent = {}
+def _tree_tails(rem, csym, omp):
+    """Map every u in the bit set rem (at least two vertices) to the tree
+    bound on the cost of visiting rem - {u} from u at unit survival weight
+    (module docstring). csym[x][w] is min(cost(x, w), cost(w, x))."""
+    members = []
     r = rem
     while r:
         lsb = r & -r
         r ^= lsb
-        w = lsb.bit_length() - 1
-        # the first source in rem, found before w as rem holds another vertex
-        row = sources[w]
-        i = 0
-        while not rem >> row[i] & 1:
-            i += 1
-        ent[w] = entry_cost[w][i]
-    by_e = sorted(ent, key=ent.__getitem__)
-    # e ascending with a zero sentinel, o ascending, p[j] the product of the
-    # j smallest o; sa..sd are exclusive prefix sums of e[j] p[j],
-    # e[j+1] p[j], e[j] p[j+1] and e[j+1] p[j+1]
-    e = [ent[w] for w in by_e]
-    e.append(0.0)
-    o = []
-    rank_o = {}
-    sa = [0.0]
-    sb = [0.0]
-    sc = [0.0]
-    sd = [0.0]
-    a = b = c = d = 0.0
+        members.append(lsb.bit_length() - 1)
+    # Prim on lists: dist[i] is the cheapest edge from the tree to left[i]
+    row = csym[members[0]]
+    left = members[1:]
+    dist = [row[w] for w in left]
+    edges = []
+    while left:
+        d = min(dist)
+        i = dist.index(d)
+        edges.append(d)
+        row = csym[left.pop(i)]
+        del dist[i]
+        ends = map(row.__getitem__, left)
+        dist = [x if x <= y else y for x, y in zip(dist, ends)]
+    edges.sort()
+    # k the r - 1 tree edges ascending, o the factors 1 - p of rem
+    # ascending, p[j] the product of the j smallest o; a[m] is the sum of
+    # k[j] p[j] over j < m, and b[m] that of k[j] p[j + 1] over j >= m
+    by_o = sorted(members, key=omp.__getitem__)
+    a = [0.0]
+    prods = []
+    acc = 0.0
     p = 1.0
-    for j, u in enumerate(sorted(ent, key=omp.__getitem__)):
-        rank_o[u] = j
-        om = omp[u]
-        o.append(om)
-        p1 = p * om
-        ej = e[j]
-        ej1 = e[j + 1]
-        a += ej * p
-        b += ej1 * p
-        c += ej * p1
-        d += ej1 * p1
-        sa.append(a)
-        sb.append(b)
-        sc.append(c)
-        sd.append(d)
-        p = p1
-    # leaving out u shifts e up from u's rank r and o up from its rank s;
-    # the products past s are p[j + 1] / o[s]
-    dk = sd[-2]
-    tails = {}
-    for r, u in enumerate(by_e):
-        s = rank_o[u]
-        if r <= s:
-            tails[u] = sa[r] + sb[s + 1] - sb[r] + (dk - sd[s + 1]) / o[s]
-        else:
-            tails[u] = sa[s + 1] + (sc[r] - sc[s + 1] + dk - sd[r]) / o[s]
+    for k, u in zip(edges, by_o):
+        acc += k * p
+        a.append(acc)
+        p *= omp[u]
+        prods.append(p)
+    b = [0.0] * len(members)
+    acc = 0.0
+    for j in range(len(edges) - 1, -1, -1):
+        acc += edges[j] * prods[j]
+        b[j] = acc
+    # leaving out u, of rank s in o, keeps p[j] up to j = s and turns the
+    # later ones into p[j + 1] / o[s]
+    tails = {u: a[s + 1] + b[s + 1] / omp[u]
+             for s, u in enumerate(by_o[:-1])}
+    tails[by_o[-1]] = a[-1]
     return tails
 
 
@@ -426,25 +440,23 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     eps = cfg.epsilon
     use_focal = eps > 0.0
     f0 = 0.0
-    use_pair = False
+    use_tree = False
     if cfg.use_heuristic:
         table = build_heuristic_table(inst)
         # hrows[k][v] = gamma[v, k]
         hrows = table.gamma.T.tolist()
         f0 = hrows[n - 1][start]
-        use_pair = table.pairing_root > f0
+        # the root rule (module docstring)
+        use_tree = n >= TREE_FLOOR and table.pairing_root > f0
     else:
         # c + 0.0 == c, so f = g + q * (c + 0.0) is g to the bit
         hrows = [[0.0] * n] * n
-    if use_pair:
-        f0 = table.pairing_root
-        # sources[w] lists every x by ascending cost(x, w), w itself last;
-        # entry_cost[w] holds those costs
-        c_in = inst.cost.T.copy()
-        np.fill_diagonal(c_in, np.inf)
-        by_cost = np.argsort(c_in, axis=1, kind="stable")
-        sources = by_cost.tolist()
-        entry_cost = np.take_along_axis(c_in, by_cost, axis=1).tolist()
+    full = (1 << n) - 1
+    if use_tree:
+        csym = np.minimum(inst.cost, inst.cost.T).tolist()
+        tree_root = omp_list[start] * _tree_tails(full, csym,
+                                                  omp_list)[start]
+        f0 = max(f0, table.pairing_root, tree_root)
         # the bounds depend on the remaining set only, which states at
         # different vertices share
         tails_of = {}
@@ -453,7 +465,6 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     cut = ((1.0 + eps) * (upper + 2 * n * DOMINANCE_TOL) * (1.0 + 1e-9)
            if use_pruning else float("inf"))
 
-    full = (1 << n) - 1
     expansions = 0
     generations = 1
     pruned_extracted = 0
@@ -574,11 +585,11 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
         hrow = hrows[krem]
         generations += n - size
         rem = full & ~mask
-        pair = use_pair and krem > 0
-        if pair:
+        tree = use_tree and krem > 0
+        if tree:
             tails = tails_of.get(rem)
             if tails is None:
-                tails = _pairing_tails(rem, sources, entry_cost, omp_list)
+                tails = _tree_tails(rem, csym, omp_list)
                 tails_of[rem] = tails
         while rem:
             lsb = rem & -rem
@@ -603,12 +614,12 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
                 sid2 = len(states)
             q2 = q * omp_list[u]
             states.append((u, q2, m2, size2, sid))
-            if use_pair:
+            if use_tree:
                 # the larger bound, and pathmax: never below the parent's f
-                if pair:
-                    fp = g2 + q2 * tails[u]
-                    if fp > f2:
-                        f2 = fp
+                if tree:
+                    ft = g2 + q2 * tails[u]
+                    if ft > f2:
+                        f2 = ft
                 if f2 < f:
                     f2 = f
             if on_generate:

@@ -124,6 +124,9 @@ def test_config_errors_exit_two(tmp_path, capsys):
                           "max_steps must be positive"),
                          (["lifelong", "--n", "4", "--seed", "-1"],
                           "seed must be a non-negative integer"),
+                         (["explore", "--demo", "accurate", "--seed", "-2",
+                           "--trials", "2", "--planners", "blind"],
+                          "seed must be a non-negative integer"),
                          (["lifelong", "--n", "4", "--p-low", "0.5",
                            "--p-high", "0.5"], "need 0 < p_low < p_high")):
         capsys.readouterr()

@@ -290,20 +290,24 @@ def test_exploration_frontier_counts_logged():
 @pytest.mark.parametrize("cls, name, value", [
     (ExploreConfig, "window", -1),
     (ExploreConfig, "window", 1.5),
+    (ExploreConfig, "window", False),
     (ExploreConfig, "phi_g_fov", 0.0),
     (ExploreConfig, "phi_g_fov", 2.0 * math.pi + 1e-9),
     (ExploreConfig, "phi_g_fov", float("nan")),
     (ExploreConfig, "rays", 0),
     (ExploreConfig, "rays", 2.5),
     (ExploreConfig, "rays", 180.0),
+    (ExploreConfig, "rays", True),
     (ExploreConfig, "ray_step", 0.0),
     (ExploreConfig, "success_dist", 0.0),
     (ExploreConfig, "vertex_cap", 0),
     (ExploreConfig, "vertex_cap", 40.5),
+    (ExploreConfig, "vertex_cap", True),
     (ExploreConfig, "focal_eps", -0.01),
     (ExploreConfig, "max_steps", -1),
     (ExploreConfig, "max_steps", 2.5),
     (ExploreConfig, "max_steps", float("nan")),
+    (ExploreConfig, "max_steps", True),
     (ExploreConfig, "replan_delta", -0.1),
     (ExploreConfig, "plan_time_limit", 0.0),
     (ClusterConfig, "bandwidth", 0.0),
@@ -312,6 +316,7 @@ def test_exploration_frontier_counts_logged():
     (ClusterConfig, "max_iter", 0),
     (ClusterConfig, "max_iter", 2.5),
     (ClusterConfig, "max_iter", np.float64(50.0)),
+    (ClusterConfig, "max_iter", True),
 ])
 def test_config_rejects_values_that_cannot_take_effect(cls, name, value):
     with pytest.raises(ValueError, match=rf"{cls.__name__}\.{name} "):

@@ -73,10 +73,12 @@ def test_ground_truth_and_config_validation():
         MissionConfig(p_high=0.1, p_low=0.5)
     with pytest.raises(ValueError):
         MissionConfig(planner="astar")
-    # 2.5 would act as 3 steps, and NaN would turn the step cap off
+    # 2.5 would act as 3 steps, and NaN would turn the step cap off; True
+    # and False would act as 1 and 0
     for kw in ({"max_steps": 2.5}, {"max_steps": float("nan")},
                {"max_steps": 3.0}, {"max_steps": 0}, {"seed": -1},
-               {"seed": 1.5}, {"seed": float("nan")}):
+               {"seed": 1.5}, {"seed": float("nan")}, {"max_steps": True},
+               {"seed": False}, {"seed": True}):
         with pytest.raises(ValueError, match=next(iter(kw))):
             MissionConfig(**kw)
     cfg = MissionConfig(seed=np.int64(4), max_steps=np.int32(3))

@@ -9,7 +9,7 @@ from hpppt import (Instance, InvalidConfigError, SearchState, SolverConfig,
 from hpppt import solver as solver_mod
 from hpppt.baselines import nearest_neighbor
 from hpppt.bench import make_instance
-from hpppt.solver import _has_superset, _pairing_tails
+from hpppt.solver import TREE_FLOOR, _has_superset, _tree_tails
 from support import brute_force_best, completion_table, random_instance
 
 TRI = Instance([[0, 1, 4], [1, 0, 2], [4, 2, 0]], [0.2, 0.5, 0.3], 0, "tri")
@@ -180,8 +180,7 @@ def test_generated_states_follow_transition_rules():
 
 def test_focal_with_cut_within_bound_of_brute_force():
     """The incumbent cut keeps focal costs within (1 + eps) of the
-    exhaustive optimum, on low-p inputs too, where the pairing term is in
-    use."""
+    exhaustive optimum, on low-p inputs too."""
     rng = np.random.default_rng(97)
     cut = 0
     for p_max in (0.1, 0.9):
@@ -355,11 +354,17 @@ def test_oracle_agreement_medium():
         assert a.cost == pytest.approx(b.cost, abs=1e-9)
 
 
-def _uses_pairing(inst):
-    """The root rule: the pairing bound joins gamma when its root value is
-    the larger one."""
+def _passes_root_screen(inst):
+    """The pairing screen of the root rule: the pairing bound's root value
+    beats gamma's."""
     table = build_heuristic_table(inst)
     return table.pairing_root > table.gamma[inst.start, inst.n - 1]
+
+
+def _uses_tree(inst):
+    """The root rule: the tree bound joins gamma on instances of at least
+    TREE_FLOOR vertices that pass the pairing screen."""
+    return inst.n >= TREE_FLOOR and _passes_root_screen(inst)
 
 
 def _optimum(inst):
@@ -370,34 +375,122 @@ def _optimum(inst):
         inst.start, full & ~(1 << inst.start))
 
 
-def test_pairing_tails_match_direct_formula():
-    """The prefix-sum evaluation equals sorting the entries of rem - {u}
-    ascending and pairing them with the running products of its smallest
-    1 - p, for every child u."""
+def _members(mask):
+    return [u for u in range(mask.bit_length()) if mask >> u & 1]
+
+
+def _kruskal_edges(csym, members):
+    """The edge costs of a minimum spanning tree on members, ascending,
+    by Kruskal with a plain union-find."""
+    parent = {u: u for u in members}
+
+    def root(u):
+        while parent[u] != u:
+            u = parent[u]
+        return u
+
+    edges = []
+    for c, x, w in sorted((csym[x][w], x, w) for x in members
+                          for w in members if x < w):
+        rx, rw = root(x), root(w)
+        if rx != rw:
+            parent[rx] = rw
+            edges.append(c)
+    return edges
+
+
+def _weights(omp, rest):
+    """The running products of the smallest 1 - p of rest: 1, o_0,
+    o_0 o_1, ..."""
+    return np.cumprod([1.0] + sorted(omp[w] for w in rest))
+
+
+def _asymmetric(inst, rng):
+    """inst with every arc scaled by its own U(1, 2) factor."""
+    cost = inst.cost * rng.uniform(1.0, 2.0, inst.cost.shape)
+    return Instance(cost, inst.prob, inst.start, inst.name + "-asym")
+
+
+def test_tree_tails_match_direct_formula():
+    """The prefix-sum evaluation equals sorting the edges of a minimum
+    spanning tree on rem ascending and pairing them with the running
+    products of the smallest 1 - p of rem - {u}, for every child u."""
     rng = np.random.default_rng(71)
-    for euclidean in (True, False):
+    for kind in ("euclidean", "symmetric", "asymmetric"):
         for _ in range(20):
             n = int(rng.integers(3, 12))
-            inst = random_instance(rng, n, p_max=0.9, euclidean=euclidean)
-            cost = inst.cost.tolist()
+            inst = random_instance(rng, n, p_max=0.9,
+                                   euclidean=kind == "euclidean")
+            if kind == "asymmetric":
+                inst = _asymmetric(inst, rng)
+            csym = np.minimum(inst.cost, inst.cost.T).tolist()
             omp = (1.0 - inst.prob).tolist()
-            cost_in = inst.cost.T.copy()
-            np.fill_diagonal(cost_in, np.inf)
             rem = int(rng.integers(0, 1 << n))
-            members = [u for u in range(n) if rem >> u & 1]
+            members = _members(rem)
             if len(members) < 2:
                 continue
-            order = np.argsort(cost_in, axis=1, kind="stable")
-            tails = _pairing_tails(rem, order.tolist(), np.take_along_axis(
-                cost_in, order, axis=1).tolist(), omp)
+            tails = _tree_tails(rem, csym, omp)
             assert sorted(tails) == members
+            edges = _kruskal_edges(csym, members)
+            assert len(edges) == len(members) - 1
             for u in members:
+                weights = _weights(omp, [w for w in members if w != u])
+                want = float(np.dot(edges, weights[:len(edges)]))
+                assert tails[u] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_tree_tails_admissible_against_exact_completion():
+    """No tail exceeds the exact cost of visiting rem - {u} from u, for
+    every remaining set and every u, on Euclidean, non-metric symmetric and
+    asymmetric costs. Every subset of the vertices is a remaining set, the
+    root's full set among them, so every start is covered."""
+    rng = np.random.default_rng(131)
+    pairs = 0
+    for kind in ("euclidean", "symmetric", "asymmetric"):
+        for n in range(2, 10):
+            p_max = float(rng.choice([0.1, 0.5, 0.9]))
+            inst = random_instance(rng, n, p_max=p_max,
+                                   euclidean=kind == "euclidean")
+            if kind == "asymmetric":
+                inst = _asymmetric(inst, rng)
+            csym = np.minimum(inst.cost, inst.cost.T).tolist()
+            omp = (1.0 - inst.prob).tolist()
+            finish = completion_table(inst)
+            for rem in range(1, 1 << n):
+                if rem & (rem - 1) == 0:
+                    continue
+                for u, tail in _tree_tails(rem, csym, omp).items():
+                    hstar = finish(u, rem & ~(1 << u))
+                    assert tail <= hstar + 1e-12 * max(1.0, hstar)
+                    pairs += 1
+    assert pairs > 4000
+
+
+def test_tree_tails_dominate_pairing_on_symmetric_costs():
+    """On symmetric costs the tree tail is at least the pairing bound: the
+    entry minima of rem - {u}, sorted ascending, times the same weights."""
+    rng = np.random.default_rng(137)
+    above = 0
+    for euclidean in (True, False):
+        for _ in range(40):
+            n = int(rng.integers(3, 12))
+            inst = random_instance(rng, n, p_max=float(rng.choice(
+                [0.1, 0.5, 0.9])), euclidean=euclidean)
+            cost = inst.cost.tolist()
+            omp = (1.0 - inst.prob).tolist()
+            rem = int(rng.integers(0, 1 << n))
+            members = _members(rem)
+            if len(members) < 2:
+                continue
+            for u, tail in _tree_tails(rem, cost, omp).items():
                 rest = [w for w in members if w != u]
                 ent = sorted(min(cost[x][w] for x in members if x != w)
                              for w in rest)
-                weights = np.cumprod([1.0] + sorted(omp[w] for w in rest))
-                want = float(np.dot(ent, weights[:len(ent)]))
-                assert tails[u] == pytest.approx(want, rel=1e-12, abs=1e-12)
+                weights = _weights(omp, rest)
+                pairing = float(np.dot(ent, weights[:len(ent)]))
+                assert tail >= pairing - 1e-12 * max(1.0, pairing)
+                above += tail > pairing * (1.0 + 1e-9)
+    assert above > 0
 
 
 def test_has_superset_matches_plain_scan():
@@ -465,29 +558,53 @@ def test_superset_dominance_runs_once_per_extraction(monkeypatch):
     assert scanned > 0
 
 
+def _tree_root(inst):
+    """The tree bound at the start state."""
+    csym = np.minimum(inst.cost, inst.cost.T).tolist()
+    omp = (1.0 - inst.prob).tolist()
+    tails = _tree_tails((1 << inst.n) - 1, csym, omp)
+    return omp[inst.start] * tails[inst.start]
+
+
 def test_root_bound_reports_root_key():
-    for inst in (make_instance(12, 1, 3, 0.1), make_instance(12, 0, 3, 0.9)):
+    """The root key is gamma's root value, raised to the larger of the
+    pairing and tree root values where the root rule picks the tree."""
+    fires = make_instance(12, 1, 3, 0.1)
+    for inst in (fires, make_instance(12, 0, 3, 0.9),
+                 make_instance(TREE_FLOOR - 1, 1, 3, 0.1)):
         table = build_heuristic_table(inst)
         gamma_root = table.gamma[inst.start, inst.n - 1]
         res = solve(inst, SolverConfig(time_limit=None))
-        assert res.stats.root_bound == max(gamma_root, table.pairing_root)
+        if _uses_tree(inst):
+            assert res.stats.root_bound == max(
+                gamma_root, table.pairing_root, _tree_root(inst))
+            assert res.stats.root_bound >= max(gamma_root,
+                                               table.pairing_root)
+        else:
+            assert res.stats.root_bound == gamma_root
         assert res.stats.root_bound <= res.cost
         off = solve(inst, SolverConfig(use_heuristic=False, time_limit=None))
         assert off.stats.root_bound == 0.0
-    assert _uses_pairing(make_instance(12, 1, 3, 0.1))
-    assert not _uses_pairing(make_instance(12, 0, 3, 0.9))
+    assert _uses_tree(fires)
+    assert _tree_root(fires) > build_heuristic_table(fires).pairing_root
+    assert not _uses_tree(make_instance(12, 0, 3, 0.9))
+    # below the floor the pairing screen passes, but gamma stays alone
+    small = make_instance(TREE_FLOOR - 1, 1, 3, 0.1)
+    assert _passes_root_screen(small) and not _uses_tree(small)
 
 
 def test_exact_and_focal_costs_on_make_instance_grid():
     """Metric inputs only: superset dominance needs the triangle
     inequality. Brute force is affordable up to n = 8; the support DP
-    covers every size."""
-    pairing = 0
-    for n in range(6, 12):
+    covers every size, TREE_FLOOR among them."""
+    used = 0
+    cells = 0
+    for n in range(6, TREE_FLOOR + 1):
         for p_max in (0.02, 0.1, 0.5, 0.9):
             for index in (0, 1):
                 inst = make_instance(n, index, 5, p_max)
-                pairing += _uses_pairing(inst)
+                used += _uses_tree(inst)
+                cells += 1
                 opt = _optimum(inst)
                 if n <= 8:
                     assert brute_force_best(inst)[1] == pytest.approx(
@@ -501,21 +618,23 @@ def test_exact_and_focal_costs_on_make_instance_grid():
                     assert res.status == "ok"
                     assert res.cost <= (1.0 + eps) * opt + 1e-9 * opt
     # the grid exercises both sides of the root rule
-    assert 0 < pairing < 48
+    assert 0 < used < cells
 
 
-def test_reported_h_admissible_with_pairing_bound():
-    """A04 on low-p and non-metric inputs, where the pairing term is in
-    use: the h reported for every generated state, pathmax included, is at
-    most the true completion, and on some states it beats gamma."""
+def test_reported_h_admissible_with_tree_bound():
+    """A04 on low-p and non-metric inputs, where the tree term is in use:
+    the h reported for every generated state, pathmax included, is at most
+    the true completion, and on some states it beats gamma."""
     rng = np.random.default_rng(83)
-    cases = [random_instance(rng, int(rng.integers(5, 10)), p_max=p_max)
-             for p_max in (0.02, 0.1) for _ in range(8)]
-    cases += [random_instance(rng, int(rng.integers(5, 10)), p_max=p_max,
-                              euclidean=False)
-              for p_max in (0.1, 0.5, 0.9) for _ in range(8)]
+    cases = [make_instance(n, index, 3, 0.1)
+             for n, index in ((TREE_FLOOR, 1), (TREE_FLOOR + 1, 0))]
+    cases += [random_instance(rng, TREE_FLOOR, p_max=p_max, euclidean=False)
+              for p_max in (0.02, 0.1)]
+    cases += [_asymmetric(random_instance(rng, TREE_FLOOR, p_max=0.1), rng)]
     above_gamma = 0
+    used = 0
     for inst in cases:
+        used += _uses_tree(inst)
         table = build_heuristic_table(inst)
         finish = completion_table(inst)
         full = (1 << inst.n) - 1
@@ -533,21 +652,22 @@ def test_reported_h_admissible_with_pairing_bound():
             # on_expand reports the h of the key the state was queued with
             for s in expanded:
                 assert s.h == keys[(s.v, s.visited, s.g)]
+    assert used == len(cases)
     assert above_gamma > 0
 
 
-def test_pairing_keys_never_fall_below_parent():
-    """max(gamma, pairing) is consistent and pathmax absorbs rounding, so
-    no child is queued below its parent's key and exact search expands in
-    key order. on_expand runs just before the children it generates."""
+def test_tree_keys_never_fall_below_parent():
+    """max(gamma, tree) is consistent and pathmax absorbs rounding, so no
+    child is queued below its parent's key and exact search expands in key
+    order. on_expand runs just before the children it generates."""
     rng = np.random.default_rng(89)
     cases = [make_instance(n, index, 3, 0.1)
-             for n, index in ((10, 0), (12, 1), (13, 0), (13, 1))]
-    cases += [random_instance(rng, 9, p_max=0.1, euclidean=False)
+             for n, index in ((12, 1), (13, 0), (13, 1), (14, 0))]
+    cases += [random_instance(rng, TREE_FLOOR, p_max=0.1, euclidean=False)
               for _ in range(10)]
     used = 0
     for inst in cases:
-        used += _uses_pairing(inst)
+        used += _uses_tree(inst)
         for eps in (0.0, 0.2):
             events = []
             solve(inst, SolverConfig(epsilon=eps, time_limit=None),
@@ -567,9 +687,19 @@ def test_pairing_keys_never_fall_below_parent():
     assert used >= 10
 
 
+def test_tree_bound_cuts_hard_regime_expansions():
+    """Exact search at p_max 0.1 and n = 20, where gamma and the pairing
+    bound reach about half the optimum at the root, needed 9,164
+    expansions; the tree bound brings it under 1,500."""
+    res = solve(make_instance(20, 0, 7, 0.1), SolverConfig(time_limit=None))
+    assert res.status == "ok"
+    assert res.stats.expansions <= 1500
+
+
 # sha256 over every search below of (status, path, repr(cost), expansions,
 # generations, pruned_extracted, pruned_generated, peak_open), in grid
-# order, split by the root rule. The searches that keep gamma alone were
+# order, split by the pairing screen of the root rule. The searches that
+# fail it, and so keep gamma alone, were
 # recorded with the unbucketed linear frontier scan and the open-heap focal
 # rebuild, and again before the pairing bound existed. The searches with the
 # pairing bound were recorded with it; each of their exact costs equals the
@@ -591,11 +721,23 @@ def test_pairing_keys_never_fall_below_parent():
 # dominated state can set the focal floor or prune a later child as a
 # duplicate before it is popped: rand-n010-k00-s3 at eps 0.02 without the
 # heuristic (735 -> 719 expansions) and rand-n012-k00-s3 at eps 0.2
-# (516 -> 576).
+# (516 -> 576). The searches that pass the screen were recorded again when
+# the tree bound replaced the pairing bound, behind the size floor. Every
+# exact cost bit and path stayed. The 18 searches are the instances
+# rand-n010-k00-s3 and -k01-s3 at p_max 0.1 (below the floor, now gamma
+# alone), rand-n012-k01-s3 at p_max 0.1 and 0.9, and rand-n013-k00-s3 and
+# -k01-s3 at p_max 0.1 (tree bound), each at eps 0, 0.02 and 0.2.
+# Counters moved in 17 of them and expansions in 16: at n = 10 up
+# (118 -> 420 at k00 eps 0), at n = 12 and 13 down (803 -> 98 at n = 13
+# k01 eps 0). Five focal paths moved, each within (1 + eps) of the completion_table optimum, which
+# SEARCH_RESULT_DIGEST below therefore records: n = 10 k00 at eps 0.02
+# and 0.2 and k01 at eps 0.2 went to the optimum (from 1.0063 and 1.0471
+# of it); n = 13 k00 and k01 at eps 0.2 went from the optimum to 1.0173
+# and 1.0057 of it.
 GAMMA_GRID_DIGEST = (
     "b961de01fb38bf55f64d9855b1cb01f5a30bb6f402fdf683cb4e960d20fa650f")
 PAIRING_GRID_DIGEST = (
-    "614970e50f4bdd781b970fe3573c60c35280d7077d97374973fe1be7ffc6f195")
+    "a087e9cc52bb35453e4011da207faf2cce68a6dfb5a5e69f8260e1a559072b1c")
 
 
 def _search_grid():
@@ -625,7 +767,7 @@ def test_searches_match_recorded_digest(grid_results):
     counts = {False: 0, True: 0}
     for inst, cfg, res in grid_results:
         s = res.stats
-        pairing = cfg.use_heuristic and _uses_pairing(inst)
+        pairing = cfg.use_heuristic and _passes_root_screen(inst)
         digests[pairing].update(repr((
             res.status, res.path, repr(res.cost), s.expansions,
             s.generations, s.pruned_extracted, s.pruned_generated,
@@ -644,9 +786,10 @@ def test_searches_match_recorded_digest(grid_results):
 # again with the append-only frontier, for the same four searches as
 # GAMMA_GRID_DIGEST, and with one queue order, as the grid digests above.
 # Recorded again when superset dominance moved to extraction only, for the
-# pruned_extracted counts and the two focal cells named above.
+# pruned_extracted counts and the two focal cells named above, and when the
+# tree bound replaced the pairing bound, for the 18 searches named above.
 SEARCH_IDENTITY_DIGEST = (
-    "6e95809805b9a9623e106f72d9a1782c0effdf7d57e709a8cff9499e91e644e0")
+    "c0d862da3d348181e8ca1f16e5d76428c74ba7b5f483f1db78ef0abc89c0c121")
 
 
 def test_searches_keep_recorded_identity(grid_results):
@@ -662,9 +805,10 @@ def test_searches_keep_recorded_identity(grid_results):
 # sha256 over every search of _search_grid() of (status, path, repr(cost)),
 # in grid order: what each search returns, whatever it expanded or pruned
 # on the way. A change to the frontier that moves only counters leaves this
-# hash as it is. Recorded again with one queue order, as the digests above.
+# hash as it is. Recorded again with one queue order, as the digests above,
+# and for the five focal paths that the tree bound moved (named above).
 SEARCH_RESULT_DIGEST = (
-    "7cc133ba5c6abfd73072fcf7b984f214a0b03abdac4428ac2cfe088cdfbe25a8")
+    "913583135bb76dfac248d34a438b9d0dd110f6a52e9f5e461edfef56f4972178")
 
 
 def test_searches_keep_recorded_results(grid_results):
