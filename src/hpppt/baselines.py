@@ -73,12 +73,16 @@ def greedy_solve(inst: Instance, *, score: bool = True) -> SolveResult:
 def nearest_neighbor(inst: Instance) -> tuple:
     """Plain nearest-neighbor order on edge costs from the start vertex,
     ties to the smaller index."""
-    n = inst.n
-    cost = inst.cost.tolist()
+    return _nearest_order(inst.cost.tolist(), inst.start)
+
+
+def _nearest_order(cost, start) -> tuple:
+    """nearest_neighbor on cost rows given as lists."""
+    n = len(cost)
     visited = [False] * n
-    visited[inst.start] = True
-    order = [inst.start]
-    cur = inst.start
+    visited[start] = True
+    order = [start]
+    cur = start
     for _ in range(n - 1):
         best = -1
         best_d = float("inf")
@@ -100,7 +104,11 @@ def two_opt_path(order, cost) -> tuple:
     asymmetric costs the reversal also turns the segment's own edges
     around; their deltas, each exactly 0.0 on a symmetric matrix, are
     added once the two end edges alone gain enough."""
-    cost = np.asarray(cost).tolist()
+    return _two_opt(order, np.asarray(cost).tolist())
+
+
+def _two_opt(order, cost) -> tuple:
+    """two_opt_path on cost rows given as lists."""
     order = list(order)
     n = len(order)
     # a pair whose four positions all lie before the last reversed segment
@@ -150,5 +158,7 @@ def blind_hpp_solve(inst: Instance, tour=None, *,
     if tour is not None:
         path = check_path(inst, tour, full=True)
     else:
-        path = two_opt_path(nearest_neighbor(inst), inst.cost)
+        # one list copy of the costs serves both passes
+        cost = inst.cost.tolist()
+        path = _two_opt(_nearest_order(cost, inst.start), cost)
     return _result(path, expected_cost_q(inst, path) if score else None, t0)

@@ -20,8 +20,8 @@ from .baselines import blind_hpp_solve, greedy_solve
 from .grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, WorldModel,
                    extract_frontiers, grid_distances, reveal,
                    shortest_path_cells, tree_path)
-from .instance import Instance
-from .lifelong import PLANNERS, _integral
+from .instance import Instance, _integral
+from .lifelong import PLANNERS
 from .solver import DEFAULT_TIME_LIMIT, SolverConfig, solve
 
 PROB_CLAMP = 1.0 - 1e-9

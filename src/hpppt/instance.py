@@ -6,6 +6,8 @@ visiting order weights each traversed edge by the probability that the walk
 is still alive when the edge is taken.
 """
 
+import numbers
+
 import numpy as np
 
 METRIC_REL_TOL = 1e-9
@@ -21,6 +23,12 @@ class InvalidPathError(ValueError):
 
 class MetricViolationError(ValueError):
     pass
+
+
+def _integral(value) -> bool:
+    """A Python or numpy integer; a float such as 2.5, or even 2.0, is not,
+    and neither is a bool, though bool subclasses int."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class Instance:
@@ -59,7 +67,10 @@ class Instance:
         # NaN fails
         if not ((prob >= 0.0).all() and (prob < 1.0).all()):
             raise InvalidInstanceError("probabilities must lie in [0, 1)")
-        if not (0 <= int(start) < n):
+        if not _integral(start):
+            raise InvalidInstanceError(
+                f"start must be an integer, got {start!r}")
+        if not (0 <= start < n):
             raise InvalidInstanceError(f"start {start} out of range")
         if coords is not None:
             coords = np.array(coords, dtype=np.float64)
@@ -77,6 +88,47 @@ class Instance:
 
     def __setattr__(self, key, value):
         raise AttributeError("Instance is immutable")
+
+    def restrict(self, verts, prob, name="") -> "Instance":
+        """Principal sub-instance on the distinct vertices verts, with
+        verts[0] as its start 0 and prob as its probabilities.
+
+        A principal submatrix of a validated cost matrix is finite, has a
+        zero diagonal and a positive off-diagonal, so only verts and prob
+        are checked. The result carries no coords and no seed."""
+        idx = np.asarray(verts)
+        if idx.ndim != 1 or idx.size == 0:
+            raise InvalidInstanceError("verts must be a non-empty sequence")
+        if idx.dtype.kind not in "iu":
+            raise InvalidInstanceError(
+                f"verts must be vertex indices, got dtype {idx.dtype}")
+        vl = idx.tolist()
+        m = len(vl)
+        if len(set(vl)) != m:
+            raise InvalidInstanceError("repeated vertex in verts")
+        if min(vl) < 0 or max(vl) >= self.n:
+            raise InvalidInstanceError(
+                f"verts out of range for {self.n} vertices")
+        prob = np.array(prob, dtype=np.float64)
+        if prob.shape != (m,):
+            raise InvalidInstanceError(
+                f"prob length {prob.shape} does not match {m} vertices")
+        # written so that NaN fails, as in __init__
+        if not all(0.0 <= p < 1.0 for p in prob.tolist()):
+            raise InvalidInstanceError("probabilities must lie in [0, 1)")
+        # two takes copy the rows, then the columns: the same bits as one
+        # cost[idx[:, None], idx] at half its time on replan-sized graphs
+        cost = self.cost.take(idx, 0).take(idx, 1)
+        cost.setflags(write=False)
+        prob.setflags(write=False)
+        sub = object.__new__(Instance)
+        object.__setattr__(sub, "cost", cost)
+        object.__setattr__(sub, "prob", prob)
+        object.__setattr__(sub, "start", 0)
+        object.__setattr__(sub, "name", str(name))
+        object.__setattr__(sub, "coords", None)
+        object.__setattr__(sub, "seed", None)
+        return sub
 
     @property
     def n(self) -> int:

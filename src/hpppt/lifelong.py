@@ -9,23 +9,27 @@ until every vertex is classified or the step cap is hit.
 
 Each step replans a full visiting order over the surviving vertices from
 the robot's position, with the current beliefs standing in for the
-termination probabilities. Accumulated edge cost is the duration proxy.
+termination probabilities. A replan restricts the mission instance to
+those vertices (`Instance.restrict`), so the costs validated once per
+mission are not checked again at every step. Accumulated edge cost is the
+duration proxy.
 Observation draws come from a counter-based stream seeded by
 (seed, step index), so the planner choice never shifts the noise.
 """
 
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import blind_hpp_solve, greedy_solve
-from .instance import Instance
+from .instance import Instance, _integral
 from .solver import SolverConfig, solve
 
 BELIEF_CLAMP = 1.0 - 1e-9
 PLANNERS = ("rpt", "greedy", "blind")
+# unbounded: a timed-out replan would silently take the fallback
+REPLAN_CONFIG = SolverConfig(time_limit=None)
 
 
 class DegenerateUpdateError(ArithmeticError):
@@ -57,10 +61,13 @@ class GroundTruth:
 
     @classmethod
     def from_targets(cls, n: int, targets) -> "GroundTruth":
-        targets = set(int(t) for t in targets)
+        targets = list(targets)
         for t in targets:
+            if not _integral(t):
+                raise ValueError(f"target must be an integer, got {t!r}")
             if not (0 <= t < n):
                 raise ValueError(f"target {t} out of range")
+        targets = set(targets)
         return cls(tuple(v in targets for v in range(n)))
 
     @property
@@ -89,12 +96,6 @@ class MissionConfig:
         if not (_integral(self.max_steps) and self.max_steps >= 1):
             raise ValueError("max_steps must be positive and integral, "
                              f"got {self.max_steps!r}")
-
-
-def _integral(value) -> bool:
-    """A Python or numpy integer; a float such as 2.5, or even 2.0, is not,
-    and neither is a bool, though bool subclasses int."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -170,27 +171,21 @@ def observe(truth: GroundTruth, v: int, sensor: SensorModel, rng) -> int:
     return int(rng.random() < p_one)
 
 
-def _clamped(beliefs) -> np.ndarray:
-    return np.clip(beliefs, 0.0, BELIEF_CLAMP)
-
-
-def plan_next(cost, beliefs, surviving, current: int, planner: str) -> int:
+def plan_next(inst: Instance, beliefs, surviving, current: int,
+              planner: str) -> int:
     """Next vertex to visit: solve a full visiting order over the surviving
     vertices from the robot position and take its first move."""
     others = sorted(v for v in surviving if v != current)
     if not others:
         return current
-    verts = [current] + others
-    idx = np.array(verts)
-    # one broadcast index, one copy; np.ix_ builds the same index slower
-    sub_cost = cost[idx[:, None], idx]
-    sub_prob = _clamped(np.asarray(beliefs)[idx])
+    verts = np.array([current] + others)
+    # beliefs are never negative, so only the upper clamp can act
+    sub_prob = np.minimum(np.asarray(beliefs)[verts], BELIEF_CLAMP)
     if current not in surviving:
         sub_prob[0] = 0.0
-    sub = Instance(sub_cost, sub_prob, 0, "replan")
+    sub = inst.restrict(verts, sub_prob, "replan")
     if planner == "rpt":
-        # unbounded: a timed-out replan would silently take the fallback
-        res = solve(sub, SolverConfig(time_limit=None), first_move=True)
+        res = solve(sub, REPLAN_CONFIG, first_move=True)
     elif planner == "greedy":
         res = greedy_solve(sub, score=False)
     elif planner == "blind":
@@ -199,8 +194,8 @@ def plan_next(cost, beliefs, surviving, current: int, planner: str) -> int:
         raise ValueError(f"unknown planner {planner!r}")
     if res.status != "ok":
         # fall back to the nearest survivor so the mission can continue
-        return min(others, key=lambda u: (cost[current, u], u))
-    return verts[res.path[1]]
+        return min(others, key=lambda u: (inst.cost[current, u], u))
+    return int(verts[res.path[1]])
 
 
 def run_mission(inst: Instance, truth: GroundTruth, sensor: SensorModel,
@@ -241,7 +236,7 @@ def run_mission(inst: Instance, truth: GroundTruth, sensor: SensorModel,
         if step_no >= cfg.max_steps:
             status = "truncated"
             break
-        nxt = plan_next(inst.cost, beliefs, surviving, current, cfg.planner)
+        nxt = plan_next(inst, beliefs, surviving, current, cfg.planner)
         if nxt != current:
             t += float(inst.cost[current, nxt])
             current = nxt

@@ -74,6 +74,61 @@ def test_validation_rejects_bad_matrices():
         Instance([[0, 1], [1, 0]], [0.1], 0)
 
 
+def test_start_must_be_an_integer():
+    # each would otherwise construct with start 1
+    for start in (1.5, 1.0, True, "1", np.float64(1.0)):
+        with pytest.raises(InvalidInstanceError, match="start"):
+            Instance([[0, 1], [1, 0]], [0.1, 0.1], start)
+    assert Instance([[0, 1], [1, 0]], [0.1, 0.1], np.int64(1)).start == 1
+
+
+def _asymmetric_instance(rng, n):
+    cost = rng.uniform(1.0, 50.0, (n, n))
+    np.fill_diagonal(cost, 0.0)
+    return Instance(cost, rng.uniform(0.0, 0.9, n), 0)
+
+
+def test_restrict_matches_rebuilt_instance():
+    rng = np.random.default_rng(23)
+    for trial in range(120):
+        n = int(rng.integers(1, 16))
+        inst = (_asymmetric_instance(rng, n) if trial % 3 == 2 else
+                random_instance(rng, n, euclidean=trial % 3 == 0))
+        m = int(rng.integers(1, n + 1))
+        verts = [int(v) for v in rng.permutation(n)[:m]]
+        prob = rng.uniform(0.0, 1.0 - 1e-9, m)
+        sub = inst.restrict(verts, prob, "sub")
+        ref = Instance(inst.cost[np.ix_(verts, verts)], prob, 0)
+        assert sub.cost.tobytes() == ref.cost.tobytes()
+        assert sub.prob.tobytes() == ref.prob.tobytes()
+        assert sub.cost.shape == ref.cost.shape
+        assert (sub.n, sub.start, sub.name) == (m, 0, "sub")
+        assert sub.coords is None and sub.seed is None
+        assert not sub.cost.flags.writeable
+        assert not sub.prob.flags.writeable
+        with pytest.raises(AttributeError):
+            sub.start = 1
+    # the sub-instance owns its arrays: writing the caller's prob later
+    # leaves it unchanged
+    prob = np.array([0.2, 0.3])
+    sub = TRI.restrict(np.array([2, 0]), prob)
+    prob[0] = 0.9
+    assert sub.prob.tolist() == [0.2, 0.3]
+    assert sub.cost.tolist() == [[0.0, 4.0], [4.0, 0.0]]
+
+
+def test_restrict_rejects_bad_vertices_and_probabilities():
+    for verts in ([], [0, 0], [0, 3], [-1, 0], [0.0, 1.0], [True, False],
+                  [[0, 1]]):
+        with pytest.raises(InvalidInstanceError):
+            TRI.restrict(verts, [0.1] * max(1, len(verts)))
+    for prob in ([0.1, np.nan], [0.1, -0.1], [0.1, 1.0], [0.1, 2.0],
+                 [0.1, np.inf], [0.1], [0.1, 0.1, 0.1]):
+        with pytest.raises(InvalidInstanceError):
+            TRI.restrict([0, 1], prob)
+    assert TRI.restrict([1, 2], [0.1, 0.1]).n == 2
+
+
 def test_instances_are_immutable():
     with pytest.raises(AttributeError):
         TRI.start = 1

@@ -9,8 +9,9 @@ from hpppt import (DegenerateUpdateError, GroundTruth, Instance,
                    run_mission, update)
 from hpppt.generate import assign_probabilities
 import hpppt.lifelong
-from hpppt.lifelong import plan_next
-from hpppt.solver import SolveResult
+from hpppt.baselines import blind_hpp_solve, greedy_solve
+from hpppt.lifelong import BELIEF_CLAMP, plan_next
+from hpppt.solver import SolveResult, SolverConfig, solve
 
 SENSOR = SensorModel(0.8, 0.4)
 
@@ -69,6 +70,11 @@ def test_ground_truth_and_config_validation():
     assert truth.present == (False, True, False, True)
     with pytest.raises(ValueError):
         GroundTruth.from_targets(4, [4])
+    # 2.7 would act as target 2, True and "1" as target 1
+    for bad in ([2.7], [True], ["1"], [float("inf")], [1, True], [1.0]):
+        with pytest.raises(ValueError, match="target"):
+            GroundTruth.from_targets(4, bad)
+    assert GroundTruth.from_targets(4, np.array([3])).present[3]
     with pytest.raises(ValueError):
         MissionConfig(p_high=0.1, p_low=0.5)
     with pytest.raises(ValueError):
@@ -157,14 +163,14 @@ def test_json_lines_schema():
 
 def test_plan_next_stays_when_alone():
     inst = _mission_instance(3, seed=19)
-    nxt = plan_next(inst.cost, [0.5, 0.5, 0.5], {0}, 0, "rpt")
+    nxt = plan_next(inst, [0.5, 0.5, 0.5], {0}, 0, "rpt")
     assert nxt == 0
 
 
 def test_plan_next_skips_retired_vertices():
-    cost = np.array([[0, 1, 10], [1, 0, 10], [10, 10, 0]], dtype=float)
+    inst = Instance([[0, 1, 10], [1, 0, 10], [10, 10, 0]], np.full(3, 0.5))
     # vertex 1 already classified: only 2 survives, so go towards 2
-    nxt = plan_next(cost, [0.5, 0.9, 0.5], {0, 2}, 0, "rpt")
+    nxt = plan_next(inst, [0.5, 0.9, 0.5], {0, 2}, 0, "rpt")
     assert nxt == 2
 
 
@@ -181,14 +187,58 @@ def test_plan_next_falls_back_to_nearest_survivor(monkeypatch):
         return SolveResult("timeout", None, None)
 
     monkeypatch.setattr(hpppt.lifelong, "solve", timed_out)
-    cost = np.array([[0, 5, 3, 3], [5, 0, 4, 4], [3, 4, 0, 2], [3, 4, 2, 0]],
-                    dtype=float)
+    inst = Instance([[0, 5, 3, 3], [5, 0, 4, 4], [3, 4, 0, 2], [3, 4, 2, 0]],
+                    np.full(4, 0.5))
     beliefs = [0.5, 0.9, 0.5, 0.1]
-    assert plan_next(cost, beliefs, {0, 1, 2, 3}, 0, "rpt") == 2
-    assert plan_next(cost, beliefs, {1, 3}, 0, "rpt") == 3
-    assert plan_next(cost, beliefs, {0, 1, 2, 3}, 2, "rpt") == 3
+    assert plan_next(inst, beliefs, {0, 1, 2, 3}, 0, "rpt") == 2
+    assert plan_next(inst, beliefs, {1, 3}, 0, "rpt") == 3
+    assert plan_next(inst, beliefs, {0, 1, 2, 3}, 2, "rpt") == 3
     assert [cfg.time_limit for cfg in configs] == [None, None, None]
     assert keywords == [{"first_move": True}] * 3
+
+
+def _rebuilt_plan_next(cost, beliefs, surviving, current, planner):
+    """plan_next as written before replans restricted the mission
+    instance: fancy index, np.clip, then a fully validated Instance."""
+    others = sorted(v for v in surviving if v != current)
+    if not others:
+        return current
+    verts = [current] + others
+    idx = np.array(verts)
+    sub_prob = np.clip(np.asarray(beliefs)[idx], 0.0, BELIEF_CLAMP)
+    if current not in surviving:
+        sub_prob[0] = 0.0
+    sub = Instance(cost[idx[:, None], idx], sub_prob, 0, "replan")
+    if planner == "rpt":
+        res = solve(sub, SolverConfig(time_limit=None), first_move=True)
+    elif planner == "greedy":
+        res = greedy_solve(sub, score=False)
+    else:
+        res = blind_hpp_solve(sub, score=False)
+    return verts[res.path[1]]
+
+
+def test_plan_next_matches_rebuilt_instance_reference():
+    rng = np.random.default_rng(41)
+    for planner in ("rpt", "greedy", "blind"):
+        for trial in range(300):
+            n = int(rng.integers(2, 13))
+            inst = _mission_instance(n, seed=int(rng.integers(1 << 30)))
+            beliefs = rng.uniform(0.0, 1.0, n)
+            # a belief of exactly 0, 1 or BELIEF_CLAMP sits on an edge of the
+            # clamp
+            beliefs[rng.integers(n)] = rng.choice([0.0, 1.0, BELIEF_CLAMP])
+            surviving = {v for v in range(n) if rng.random() < 0.7}
+            current = int(rng.integers(n))
+            if trial % 2:
+                surviving.add(current)
+            else:
+                surviving.discard(current)
+            want = _rebuilt_plan_next(inst.cost, beliefs, surviving,
+                                      current, planner)
+            got = plan_next(inst, beliefs, surviving, current, planner)
+            assert type(got) is int
+            assert got == want, (planner, trial)
 
 
 # sha256 over to_json_lines() of every mission in _digest_missions, recorded
