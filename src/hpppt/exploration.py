@@ -317,6 +317,12 @@ def mean_shift(points: np.ndarray, weights: np.ndarray,
         w_p = np.ones(len(pts))
     centers = pts.copy()
     two_bw2 = 2.0 * cfg.bandwidth * cfg.bandwidth
+    # division is several times slower than multiplication. When two_bw2
+    # is a power of two with a finite reciprocal, that reciprocal is exact,
+    # and x / -two_bw2 and x * (-1 / two_bw2) are both the correctly
+    # rounded value of one real number, so they give the same double
+    inverse = -1.0 / two_bw2
+    exact_inverse = math.frexp(two_bw2)[0] == 0.5 and math.isfinite(inverse)
     # px[i, j] = pts[j, 0]: subtracting a full (F, F) array is about twice
     # as fast as broadcasting a row against a column of centers
     px = np.tile(pts[:, 0], (len(pts), 1))
@@ -333,7 +339,10 @@ def mean_shift(points: np.ndarray, weights: np.ndarray,
         w *= w
         dy *= dy
         w += dy
-        w /= -two_bw2
+        if exact_inverse:
+            w *= inverse
+        else:
+            w /= -two_bw2
         np.exp(w, out=w)
         w *= w_p
         newc = (w @ pts) / w.sum(axis=1, keepdims=True)
@@ -360,20 +369,28 @@ def cluster_goals(grid: OccupancyGrid, frontiers, probs,
     # later center that no earlier anchor has claimed.
     groups = []
     claimed = np.zeros(len(centers), dtype=bool)
-    for a, (x, y) in enumerate(centers):
+    cx = np.ascontiguousarray(centers[:, 0])
+    cy = np.ascontiguousarray(centers[:, 1])
+    for a, (x, y) in enumerate(zip(cx.tolist(), cy.tolist())):
         if claimed[a]:
             continue
-        near = np.hypot(centers[:, 0] - x, centers[:, 1] - y) <= cfg.merge_dist
+        near = np.hypot(cx - x, cy - y) <= cfg.merge_dist
         near[a] = True
         near &= ~claimed
         claimed |= near
         groups.append(near.nonzero()[0])
     free = np.argwhere(grid.labels == FREE)
+    # float rows and columns, so that each snap squares and adds the two
+    # coordinate differences in the same order as a row sum, without the
+    # (n_free, 2) temporaries
+    fr = free[:, 0].astype(np.float64)
+    fc = free[:, 1].astype(np.float64)
     out: dict[tuple, GoalCluster] = {}
     for members in groups:
-        center = centers[members].mean(axis=0)
+        cr, cc = centers[members].mean(axis=0).tolist()
         prob = float(probs[members].max())
-        d2 = ((free - center[None, :]) ** 2).sum(axis=1)
+        d2 = (fr - cr) ** 2
+        d2 += (fc - cc) ** 2
         pick = free[int(np.argmin(d2))]
         snapped = (int(pick[0]), int(pick[1]))
         cells = tuple(map(tuple, pts[members].astype(int).tolist()))
@@ -400,8 +417,8 @@ def build_search_graph(grid: OccupancyGrid, goals, robot):
     kept = [g for g in goals if g.cell != robot]
     cells = [robot] + [g.cell for g in kept]
     dist, pred, free, idx = grid_distances(grid, cells)
-    # copies, so that the full matrices are freed on return
-    tree = (dist[0].copy(), pred[0].copy(), free, idx)
+    # a copy, so that the full distance matrix is freed on return
+    tree = (dist[0].copy(), pred[0], free, idx)
     if not kept:
         return None, [robot], [], tree
     m = len(cells)

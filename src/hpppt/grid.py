@@ -265,8 +265,17 @@ def _free_graph(grid: OccupancyGrid):
 def grid_distances(grid: OccupancyGrid, sources: list):
     """Shortest-path distances (meters) from each source cell to every
     Free cell, walking 4-connected over Free cells only. Returns
-    (dist matrix (len(sources), n_free), predecessors, cells, idx)."""
-    from scipy.sparse.csgraph import dijkstra
+    (dist matrix (len(sources), n_free), predecessors, cells, idx), where
+    the predecessors are the first source's row only: shape (1, n_free),
+    or (0, n_free) without sources.
+
+    The first row and its predecessors come from Dijkstra, whose
+    tie-breaks pick the paths that tree_path walks. Every edge costs the
+    resolution, and Dijkstra sums a path's edges one at a time from 0.0,
+    so a cell k hops away is at the k-th partial sum of the resolution
+    whatever the path: the other rows map breadth-first hop counts
+    through a cumulative-sum table, the same floats bit for bit."""
+    from scipy.sparse.csgraph import breadth_first_order, dijkstra
     m, cells, idx = _free_graph(grid)
     src = []
     for cell in sources:
@@ -274,11 +283,31 @@ def grid_distances(grid: OccupancyGrid, sources: list):
         if s < 0:
             raise ValueError(f"source {cell} is not a known free cell")
         src.append(s)
+    n = len(cells)
+    dist = np.empty((len(src), n))
+    pred = np.empty((min(len(src), 1), n), dtype=np.int32)
+    if not src:
+        return dist, pred, cells, idx
     # _free_graph stores both directions of every edge
-    dist, pred = dijkstra(m, directed=True, indices=src,
-                          return_predecessors=True)
-    dist = np.atleast_2d(dist)
-    pred = np.atleast_2d(pred)
+    dist[0], pred[0] = dijkstra(m, directed=True, indices=src[0],
+                                return_predecessors=True)
+    # add.accumulate adds in sequence, as Dijkstra does along a path
+    table = np.empty(n + 1)
+    table[0] = 0.0
+    np.cumsum(np.full(n, grid.resolution), out=table[1:])
+    for row, s in zip(dist[1:], src[1:]):
+        order, parent = breadth_first_order(m, s, directed=True,
+                                            return_predecessors=True)
+        # in BFS order the parents' positions never decrease: when the
+        # levels so far fill positions [0, e), the next level ends at 1 +
+        # the number of cells whose parent lies before e, below[e - 1]
+        below = np.bincount(parent[order[1:]], minlength=n)[order].cumsum()
+        bounds = [0, 1]
+        while bounds[-1] < len(order):
+            bounds.append(1 + int(below[bounds[-1] - 1]))
+        hops = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        row.fill(np.inf)
+        row[order] = table[hops]
     return dist, pred, cells, idx
 
 

@@ -72,6 +72,9 @@ class Instance:
                 f"start must be an integer, got {start!r}")
         if not (0 <= start < n):
             raise InvalidInstanceError(f"start {start} out of range")
+        if not (seed is None or _integral(seed)):
+            raise InvalidInstanceError(
+                f"seed must be an integer or None, got {seed!r}")
         if coords is not None:
             coords = np.array(coords, dtype=np.float64)
             if coords.shape != (n, 2):

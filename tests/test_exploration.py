@@ -475,7 +475,9 @@ def test_per_cell_factors_equal_reference():
         assert phi_object(PRIOR, grid, cell) == 0.0
 
 
-@pytest.mark.parametrize("bandwidth", [3.0, 8.0])
+# 2 * bandwidth ** 2 is 18 (divided), 128 and 0.5 (powers of two, multiplied
+# by the reciprocal) and 4.000000000000001 (divided)
+@pytest.mark.parametrize("bandwidth", [3.0, 8.0, 0.5, math.sqrt(2.0)])
 @pytest.mark.parametrize("weights", ["probs", "zeros"])
 def test_mean_shift_equals_broadcast_reference(bandwidth, weights):
     world, grid, robot = _partly_revealed_forest()

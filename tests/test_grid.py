@@ -163,8 +163,40 @@ def test_grid_distances_equal_an_undirected_search():
                                   indices=[idx[c] for c in sources],
                                   return_predecessors=True)
     assert np.array_equal(dist, ref_dist)
-    assert np.array_equal(pred, ref_pred)
+    # predecessors are kept for the first source only
+    assert np.array_equal(pred, ref_pred[:1])
     assert np.isinf(dist).any() and np.isfinite(dist).sum() > len(sources)
+
+
+@pytest.mark.parametrize("resolution", [1.0, 0.5, 0.3])
+def test_grid_distance_rows_equal_dijkstra_bit_for_bit(resolution):
+    # rows after the first come from breadth-first hop counts; each must be
+    # the bytes of a Dijkstra row, unreachable cells included
+    from scipy.sparse.csgraph import dijkstra
+    from hpppt.grid import _free_graph
+    rng = np.random.default_rng(29)
+    labels = rng.choice(np.array([FREE, OCCUPIED, UNKNOWN], dtype=np.uint8),
+                        size=(40, 50), p=(0.62, 0.28, 0.1))
+    labels[0, :3] = (FREE, OCCUPIED, FREE)
+    labels[1, :3] = OCCUPIED  # (0, 0) is a one-cell component
+    g = OccupancyGrid(labels, resolution=resolution)
+    free = [tuple(c) for c in np.argwhere(labels == FREE).tolist()]
+    sources = [free[len(free) // 2], (0, 0)] + free[::53] + [(0, 0)]
+    dist, pred, _, idx = grid_distances(g, sources)
+    graph = _free_graph(g)[0]
+    src = [idx[c] for c in sources]
+    ref_dist, ref_pred = dijkstra(graph, directed=False, indices=src,
+                                  return_predecessors=True)
+    assert dist.tobytes() == ref_dist.tobytes()
+    assert pred.tobytes() == ref_pred[:1].tobytes()
+    assert np.isinf(dist).any() and np.isfinite(dist).sum() > len(sources)
+    assert np.isfinite(dist[1]).sum() == 1 and dist[-1].tobytes() == (
+        dist[1].tobytes())
+    if resolution == 0.3:
+        # the table sums in sequence, which plain multiplication does not
+        hops = dijkstra(graph, directed=False, indices=src, unweighted=True)
+        reached = np.isfinite(hops)
+        assert np.any(dist[reached] != hops[reached] * resolution)
 
 
 def test_shortest_path_cells_corridor():

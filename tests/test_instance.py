@@ -82,6 +82,16 @@ def test_start_must_be_an_integer():
     assert Instance([[0, 1], [1, 0]], [0.1, 0.1], np.int64(1)).start == 1
 
 
+def test_seed_must_be_an_integer_or_none():
+    # each would otherwise record a SEED the instance was not drawn from
+    for seed in (2.5, 2.0, True, "2", np.float64(2.0)):
+        with pytest.raises(InvalidInstanceError, match="seed"):
+            Instance([[0, 1], [1, 0]], [0.1, 0.1], 0, seed=seed)
+    assert Instance([[0, 1], [1, 0]], [0.1, 0.1], 0).seed is None
+    assert Instance([[0, 1], [1, 0]], [0.1, 0.1], 0,
+                    seed=np.int64(7)).seed == 7
+
+
 def _asymmetric_instance(rng, n):
     cost = rng.uniform(1.0, 50.0, (n, n))
     np.fill_diagonal(cost, 0.0)
