@@ -12,22 +12,18 @@ from . import bench as bench_mod
 from .bench import BenchConfigError, parse_sizes, parse_solver
 from .exploration import (ExploreConfig, PriorField, forest_world,
                           run_exploration, sample_start, with_start)
-from .formats import (FormatError, UnsupportedFormatError, load_instance,
-                      read_tour, save_instance)
+from .formats import load_instance, read_tour, save_instance
 from .generate import GenerationError, derive_seed, generate_random
-from .grid import WorldFormatError, load_world
-from .instance import (Instance, InvalidInstanceError, InvalidPathError,
-                       MetricViolationError)
+from .grid import load_world
+from .instance import Instance
 from .lifelong import (PLANNERS, GroundTruth, MissionConfig, SensorModel,
                        run_mission)
-from .solver import DEFAULT_TIME_LIMIT, InvalidConfigError
+from .solver import DEFAULT_TIME_LIMIT
 
 TIME_LIMIT_ENV = "HPPPT_TIME_LIMIT_SECS"
 
-CONFIG_ERRORS = (BenchConfigError, FormatError, UnsupportedFormatError,
-                 GenerationError, WorldFormatError, InvalidInstanceError,
-                 InvalidPathError, MetricViolationError, InvalidConfigError,
-                 ValueError, OSError)
+# the other input errors all subclass ValueError; GenerationError does not
+CONFIG_ERRORS = (GenerationError, ValueError, OSError)
 
 
 def _flag(*names, **kwargs) -> argparse.ArgumentParser:

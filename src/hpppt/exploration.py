@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import blind_hpp_solve, greedy_solve
 from .grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, WorldModel,
-                   extract_frontiers, grid_distances, reveal,
+                   _json_number, extract_frontiers, grid_distances, reveal,
                    shortest_path_cells, tree_path)
 from .instance import Instance, _integral
 from .lifelong import PLANNERS
@@ -70,8 +70,34 @@ class PriorField:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "PriorField":
-        gs = tuple((g["mean"], g["cov"]) for g in cfg.get("gaussians", []))
-        return cls(gs, tuple(cfg.get("weights", (0.3, 0.2, 0.5))))
+        """The prior of a world sidecar: an object whose "gaussians" is a
+        list of objects with a "mean" and a "cov", and whose "weights" is
+        a list. Means, covariances and weights hold JSON numbers only."""
+        if not isinstance(cfg, dict):
+            raise ValueError(f"prior must be an object, got {cfg!r}")
+        gaussians = cfg.get("gaussians", [])
+        if not isinstance(gaussians, list) or not all(
+                isinstance(g, dict) and "mean" in g and "cov" in g
+                for g in gaussians):
+            raise ValueError("prior gaussians must be a list of objects "
+                             f"with a mean and a cov, got {gaussians!r}")
+        weights = cfg.get("weights", [0.3, 0.2, 0.5])
+        if not isinstance(weights, list):
+            raise ValueError(f"prior weights must be a list, got {weights!r}")
+        for key, value in [("weights", weights)] + [
+                (k, g[k]) for g in gaussians for k in ("mean", "cov")]:
+            if not _numbers(value):
+                raise ValueError(
+                    f"prior {key} must hold numbers only, got {value!r}")
+        return cls(tuple((g["mean"], g["cov"]) for g in gaussians),
+                   tuple(weights))
+
+
+def _numbers(value) -> bool:
+    """A JSON number, or a list whose items all are, at any depth."""
+    if isinstance(value, list):
+        return all(_numbers(v) for v in value)
+    return _json_number(value)
 
 
 @dataclass(frozen=True)
@@ -303,7 +329,6 @@ def assign_probability(grid: OccupancyGrid, frontiers, prior: PriorField,
 class GoalCluster:
     cell: tuple
     prob: float
-    members: tuple
 
 
 def mean_shift(points: np.ndarray, weights: np.ndarray,
@@ -385,7 +410,7 @@ def cluster_goals(grid: OccupancyGrid, frontiers, probs,
     # (n_free, 2) temporaries
     fr = free[:, 0].astype(np.float64)
     fc = free[:, 1].astype(np.float64)
-    out: dict[tuple, GoalCluster] = {}
+    best: dict[tuple, float] = {}
     for members in groups:
         cr, cc = centers[members].mean(axis=0).tolist()
         prob = float(probs[members].max())
@@ -393,15 +418,9 @@ def cluster_goals(grid: OccupancyGrid, frontiers, probs,
         d2 += (fc - cc) ** 2
         pick = free[int(np.argmin(d2))]
         snapped = (int(pick[0]), int(pick[1]))
-        cells = tuple(map(tuple, pts[members].astype(int).tolist()))
-        prev = out.get(snapped)
-        if prev is None:
-            out[snapped] = GoalCluster(snapped, prob, cells)
-        else:
-            # two centers snapped onto the same cell; keep the best evidence
-            out[snapped] = GoalCluster(
-                snapped, max(prev.prob, prob), prev.members + cells)
-    return [out[k] for k in sorted(out)]
+        # two centers may snap onto the same cell; keep the best evidence
+        best[snapped] = max(best.get(snapped, prob), prob)
+    return [GoalCluster(k, best[k]) for k in sorted(best)]
 
 
 def build_search_graph(grid: OccupancyGrid, goals, robot):
@@ -418,7 +437,7 @@ def build_search_graph(grid: OccupancyGrid, goals, robot):
     cells = [robot] + [g.cell for g in kept]
     dist, pred, free, idx = grid_distances(grid, cells)
     # a copy, so that the full distance matrix is freed on return
-    tree = (dist[0].copy(), pred[0], free, idx)
+    tree = (dist[0].copy(), pred, free, idx)
     if not kept:
         return None, [robot], [], tree
     m = len(cells)

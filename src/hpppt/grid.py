@@ -8,6 +8,7 @@ grid return Unknown.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,23 +138,40 @@ def load_world(map_path, config_path=None):
         pass
     except json.JSONDecodeError as exc:
         raise WorldFormatError(f"bad sidecar config: {exc}") from None
-    fov = cfg.get("fov", 2.0 * math.pi)
-    if not isinstance(fov, (int, float)):
-        raise WorldFormatError(f"sidecar fov must be a number, got {fov!r}")
+    if not isinstance(cfg, dict):
+        raise WorldFormatError(
+            f"sidecar config must be a JSON object, got {cfg!r}")
+    fov = _sidecar_number(cfg, "fov", 2.0 * math.pi)
     # 2*pi written to four or more significant digits counts as a full circle
     if "heading" in cfg or not math.isclose(fov, 2.0 * math.pi,
                                             rel_tol=1e-4):
         raise WorldFormatError(
             "sidecar heading and fov are not supported: the sensor sees a "
             "full circle (fov 2*pi)")
-    res = float(cfg.get("resolution", 1.0))
     world = WorldModel(
-        truth=OccupancyGrid(labels, res),
+        truth=OccupancyGrid(labels, _sidecar_number(cfg, "resolution", 1.0)),
         target=target,
         robot=robot,
-        sensor_radius=float(cfg.get("sensor_radius", 10.0)),
+        sensor_radius=_sidecar_number(cfg, "sensor_radius", 10.0),
     )
     return world, cfg
+
+
+def _json_number(value) -> bool:
+    """Whether a value loaded from JSON is a number that converts to a
+    float: JSON true and false load as bool, which Python counts as an
+    int, and an integer literal can lie beyond the double range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
+def _sidecar_number(cfg: dict, key: str, default: float) -> float:
+    value = cfg.get(key, default)
+    if not _json_number(value):
+        raise WorldFormatError(
+            f"sidecar {key} must be a number, got {value!r}")
+    return float(value)
 
 
 def save_world(world: WorldModel, map_path, sidecar: dict | None = None):
@@ -231,66 +249,55 @@ def reveal(grid: OccupancyGrid, world: WorldModel, robot, rays: int = 180,
     return after - before
 
 
-def _free_graph(grid: OccupancyGrid):
-    """CSR adjacency over Free cells, 4-connected, edge weight = resolution."""
-    # scipy loads on the first grid search only: nothing else in the
-    # package uses it, and importing it costs about 0.4 s and 25 MB.
-    from scipy.sparse import csr_matrix
-    free = grid.labels == FREE
-    h, w = free.shape
-    idx = np.full((h, w), -1, dtype=np.intp)
-    cells = np.argwhere(free)
-    idx[free] = np.arange(len(cells))
-    rows = []
-    cols = []
-    for dr, dc in ((0, 1), (1, 0)):
-        a = free[:h - dr if dr else h, :w - dc if dc else w]
-        b = free[dr:, dc:]
-        both = a & b
-        src = idx[:h - dr if dr else h, :w - dc if dc else w][both]
-        dst = idx[dr:, dc:][both]
-        rows.extend((src, dst))
-        cols.extend((dst, src))
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-    else:
-        rows = np.zeros(0, dtype=np.intp)
-        cols = np.zeros(0, dtype=np.intp)
-    data = np.full(len(rows), grid.resolution)
-    m = csr_matrix((data, (rows, cols)), shape=(len(cells), len(cells)))
-    return m, cells, idx
-
-
 def grid_distances(grid: OccupancyGrid, sources: list):
     """Shortest-path distances (meters) from each source cell to every
     Free cell, walking 4-connected over Free cells only. Returns
     (dist matrix (len(sources), n_free), predecessors, cells, idx), where
-    the predecessors are the first source's row only: shape (1, n_free),
-    or (0, n_free) without sources.
+    the predecessors are the first source's row, shape (n_free,), cells
+    are the Free cells in row-major order and idx maps a cell to its rank
+    there, or -1. Raises ValueError without sources.
 
-    The first row and its predecessors come from Dijkstra, whose
-    tie-breaks pick the paths that tree_path walks. Every edge costs the
-    resolution, and Dijkstra sums a path's edges one at a time from 0.0,
-    so a cell k hops away is at the k-th partial sum of the resolution
-    whatever the path: the other rows map breadth-first hop counts
-    through a cumulative-sum table, the same floats bit for bit."""
+    The graph is built in CSR form directly: each Free cell's edges, of
+    weight resolution, go to its Free neighbours up, left, right and
+    down, which is ascending rank order, and every edge is stored in both
+    directions. The first row and its predecessors come from Dijkstra,
+    whose tie-breaks pick the paths that tree_path walks. Dijkstra sums a
+    path's edges one at a time from 0.0, so a cell k hops away is at the
+    k-th partial sum of the resolution whatever the path: the other rows
+    map breadth-first hop counts through a cumulative-sum table, the same
+    floats bit for bit."""
+    # scipy loads on the first grid search only: nothing else in the
+    # package uses it, and importing it costs about 0.4 s and 25 MB.
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order, dijkstra
-    m, cells, idx = _free_graph(grid)
+    if not sources:
+        raise ValueError("grid_distances needs at least one source")
+    free = grid.labels == FREE
+    cells = np.argwhere(free)
+    n = len(cells)
+    # ranks framed by -1, so that no neighbour read leaves the array
+    framed = np.full((free.shape[0] + 2, free.shape[1] + 2), -1,
+                     dtype=np.intp)
+    idx = framed[1:-1, 1:-1]
+    idx[free] = np.arange(n)
     src = []
     for cell in sources:
         s = idx[cell]
         if s < 0:
             raise ValueError(f"source {cell} is not a known free cell")
         src.append(s)
-    n = len(cells)
+    slots = np.stack([framed[:-2, 1:-1][free], framed[1:-1, :-2][free],
+                      framed[1:-1, 2:][free], framed[2:, 1:-1][free]],
+                     axis=1)
+    filled = slots >= 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(filled.sum(axis=1), out=indptr[1:])
+    indices = slots[filled].astype(np.int32)
+    m = csr_matrix((np.full(len(indices), grid.resolution), indices, indptr),
+                   shape=(n, n))
     dist = np.empty((len(src), n))
-    pred = np.empty((min(len(src), 1), n), dtype=np.int32)
-    if not src:
-        return dist, pred, cells, idx
-    # _free_graph stores both directions of every edge
-    dist[0], pred[0] = dijkstra(m, directed=True, indices=src[0],
-                                return_predecessors=True)
+    dist[0], pred = dijkstra(m, directed=True, indices=src[0],
+                             return_predecessors=True)
     # add.accumulate adds in sequence, as Dijkstra does along a path
     table = np.empty(n + 1)
     table[0] = 0.0
@@ -334,4 +341,4 @@ def shortest_path_cells(grid: OccupancyGrid, src, dst) -> list | None:
     """Cell sequence from src to dst over known Free cells, or None when
     disconnected. Endpoints included."""
     dist, pred, cells, idx = grid_distances(grid, [src])
-    return tree_path((dist[0], pred[0], cells, idx), src, dst)
+    return tree_path((dist[0], pred, cells, idx), src, dst)

@@ -363,3 +363,29 @@ def test_explore_deterministic(tmp_path, capsys):
 def test_explore_requires_world_or_demo(capsys):
     assert main(["explore"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+EYE = [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("sidecar, key", [
+    *[({name: bad}, name) for name in ("resolution", "sensor_radius", "fov")
+      for bad in (None, [1.0], {}, True)],
+    ({"prior": {"gaussians": [{"mean": [1, 1]}]}}, "cov"),
+    ({"prior": {"gaussians": 5}}, "gaussians"),
+    ({"prior": {"gaussians": {"mean": [1, 1], "cov": EYE}}}, "gaussians"),
+    ({"prior": {"gaussians": [{"mean": {}, "cov": EYE}]}}, "mean"),
+    ({"prior": {"gaussians": [{"mean": [1, 1], "cov": [[True, 0], [0, 1]]}]}},
+     "cov"),
+    ({"prior": {"weights": 5}}, "weights"),
+    ({"prior": {"weights": [None, 0.2, 0.5]}}, "weights"),
+    ({"prior": {"weights": ["0.3", 0.2, 0.5]}}, "weights"),
+    ({"prior": [1]}, "prior"),
+    ([1], "sidecar"),
+])
+def test_explore_rejects_a_malformed_sidecar(tmp_path, capsys, sidecar, key):
+    path = _write_world(tmp_path)
+    (tmp_path / "corridor.map.json").write_text(json.dumps(sidecar))
+    assert main(["explore", str(path), "--max-steps", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and key in err

@@ -150,7 +150,6 @@ def test_cluster_goals_merges_and_keeps_max_prob():
     assert b.prob == pytest.approx(0.9)
     assert max(abs(a.cell[0] - 0), abs(a.cell[1] - 0)) <= 2
     assert max(abs(b.cell[0] - 20), abs(b.cell[1] - 20)) <= 2
-    assert len(a.members) == 3 and len(b.members) == 3
     assert cluster_goals(g, [], [], ClusterConfig()) == []
 
 
@@ -166,8 +165,7 @@ def test_cluster_goals_snaps_to_free_cell():
 def test_build_search_graph_drops_unreachable():
     labels, _, _ = parse_world("R.#.T\n")
     g = OccupancyGrid(labels)
-    goals = [GoalCluster((0, 1), 0.4, ((0, 1),)),
-             GoalCluster((0, 4), 0.6, ((0, 4),))]
+    goals = [GoalCluster((0, 1), 0.4), GoalCluster((0, 4), 0.6)]
     inst, cells, dropped, tree = build_search_graph(g, goals, (0, 0))
     assert dropped == [(0, 4)]
     # the robot's tree from the same search serves the replan's path
@@ -185,7 +183,7 @@ def test_build_search_graph_degenerate_cases():
     g = OccupancyGrid(np.full((3, 3), FREE, dtype=np.uint8))
     inst, cells, dropped, _ = build_search_graph(g, [], (1, 1))
     assert inst is None and cells == [(1, 1)] and dropped == []
-    only_self = [GoalCluster((1, 1), 0.7, ((1, 1),))]
+    only_self = [GoalCluster((1, 1), 0.7)]
     inst, cells, _, _ = build_search_graph(g, only_self, (1, 1))
     assert inst is None
 
@@ -222,6 +220,27 @@ def test_rpt_replans_ask_only_for_the_first_move(monkeypatch):
     log = run_exploration(world, PRIOR, "rpt", ExploreConfig(max_steps=200))
     assert log.status == "found"
     assert keywords and keywords == [{"first_move": True}] * len(keywords)
+
+
+@pytest.mark.parametrize("cfg, eps, limit", [
+    # vertex_cap 1 sends every replan to the focal variant
+    (ExploreConfig(max_steps=40, vertex_cap=1, focal_eps=0.25,
+                   plan_time_limit=7.0), 0.25, 7.0),
+    (ExploreConfig(max_steps=40), 0.0, 60.0),
+])
+def test_rpt_replans_use_the_planner_settings(monkeypatch, cfg, eps, limit):
+    real_solve = hpppt.exploration.solve
+    calls = []
+
+    def recording(inst, solver_cfg, **kw):
+        calls.append((solver_cfg.epsilon, solver_cfg.time_limit, kw))
+        return real_solve(inst, solver_cfg, **kw)
+
+    monkeypatch.setattr(hpppt.exploration, "solve", recording)
+    world = forest_world(size=40, n_trees=20, seed=1)
+    run_exploration(world, PRIOR, "rpt", cfg)
+    assert calls and calls == [(eps, limit, {"first_move": True})] * len(
+        calls)
 
 
 def test_exploration_exhausts_sealed_chamber():
@@ -527,10 +546,9 @@ def _reference_cluster_goals(grid, frontiers, probs, cfg):
         center = centers[members].mean(axis=0)
         pick = free[int(np.argmin(((free - center[None, :]) ** 2).sum(1)))]
         cell = (int(pick[0]), int(pick[1]))
-        prev = out.get(cell, GoalCluster(cell, 0.0, ()))
+        prev = out.get(cell, GoalCluster(cell, 0.0))
         out[cell] = GoalCluster(
-            cell, max(prev.prob, float(probs[members].max())),
-            prev.members + tuple(tuple(pts[m].astype(int)) for m in members))
+            cell, max(prev.prob, float(probs[members].max())))
     return [out[k] for k in sorted(out)]
 
 

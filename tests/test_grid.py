@@ -145,13 +145,37 @@ def test_grid_distances_rejects_non_free_source():
     g.labels[0, 0] = UNKNOWN
     with pytest.raises(ValueError, match="not a known free cell"):
         grid_distances(g, [(0, 0)])
+    with pytest.raises(ValueError, match="at least one source"):
+        grid_distances(g, [])
+    walls = OccupancyGrid(np.full((3, 4), OCCUPIED, dtype=np.uint8))
+    with pytest.raises(ValueError, match="not a known free cell"):
+        grid_distances(walls, [(1, 1)])
+
+
+def _reference_graph(labels, resolution):
+    """The free-cell graph with plain loops: free cells ranked in
+    row-major order, each right and down neighbour joined both ways."""
+    from scipy.sparse import csr_matrix
+    h, w = labels.shape
+    rank = {}
+    for r in range(h):
+        for c in range(w):
+            if labels[r, c] == FREE:
+                rank[r, c] = len(rank)
+    rows, cols = [], []
+    for (r, c), i in rank.items():
+        for nb in ((r, c + 1), (r + 1, c)):
+            if nb in rank:
+                rows += [i, rank[nb]]
+                cols += [rank[nb], i]
+    return csr_matrix((np.full(len(rows), resolution), (rows, cols)),
+                      shape=(len(rank), len(rank)))
 
 
 def test_grid_distances_equal_an_undirected_search():
     # the free-cell graph holds both directions of every edge, so a
     # directed search must give the undirected one's arrays bit for bit
     from scipy.sparse.csgraph import dijkstra
-    from hpppt.grid import _free_graph
     rng = np.random.default_rng(12)
     labels = rng.choice(np.array([FREE, OCCUPIED, UNKNOWN], dtype=np.uint8),
                         size=(30, 40), p=(0.65, 0.25, 0.1))
@@ -159,12 +183,13 @@ def test_grid_distances_equal_an_undirected_search():
     free = [tuple(c) for c in np.argwhere(labels == FREE).tolist()]
     sources = free[::37]
     dist, pred, _, idx = grid_distances(g, sources)
-    ref_dist, ref_pred = dijkstra(_free_graph(g)[0], directed=False,
+    ref_dist, ref_pred = dijkstra(_reference_graph(labels, 0.5),
+                                  directed=False,
                                   indices=[idx[c] for c in sources],
                                   return_predecessors=True)
     assert np.array_equal(dist, ref_dist)
     # predecessors are kept for the first source only
-    assert np.array_equal(pred, ref_pred[:1])
+    assert np.array_equal(pred, ref_pred[0])
     assert np.isinf(dist).any() and np.isfinite(dist).sum() > len(sources)
 
 
@@ -173,7 +198,6 @@ def test_grid_distance_rows_equal_dijkstra_bit_for_bit(resolution):
     # rows after the first come from breadth-first hop counts; each must be
     # the bytes of a Dijkstra row, unreachable cells included
     from scipy.sparse.csgraph import dijkstra
-    from hpppt.grid import _free_graph
     rng = np.random.default_rng(29)
     labels = rng.choice(np.array([FREE, OCCUPIED, UNKNOWN], dtype=np.uint8),
                         size=(40, 50), p=(0.62, 0.28, 0.1))
@@ -183,12 +207,12 @@ def test_grid_distance_rows_equal_dijkstra_bit_for_bit(resolution):
     free = [tuple(c) for c in np.argwhere(labels == FREE).tolist()]
     sources = [free[len(free) // 2], (0, 0)] + free[::53] + [(0, 0)]
     dist, pred, _, idx = grid_distances(g, sources)
-    graph = _free_graph(g)[0]
+    graph = _reference_graph(labels, resolution)
     src = [idx[c] for c in sources]
     ref_dist, ref_pred = dijkstra(graph, directed=False, indices=src,
                                   return_predecessors=True)
     assert dist.tobytes() == ref_dist.tobytes()
-    assert pred.tobytes() == ref_pred[:1].tobytes()
+    assert pred.tobytes() == ref_pred[0].tobytes()
     assert np.isinf(dist).any() and np.isfinite(dist).sum() > len(sources)
     assert np.isfinite(dist[1]).sum() == 1 and dist[-1].tobytes() == (
         dist[1].tobytes())
@@ -197,6 +221,28 @@ def test_grid_distance_rows_equal_dijkstra_bit_for_bit(resolution):
         hops = dijkstra(graph, directed=False, indices=src, unweighted=True)
         reached = np.isfinite(hops)
         assert np.any(dist[reached] != hops[reached] * resolution)
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (1, 1)])
+def test_grid_distances_along_a_corridor(shape):
+    # one row or one column: a neighbour read must not wrap onto another
+    # row's cells, and each cell has at most two neighbours
+    from scipy.sparse.csgraph import dijkstra
+    labels = np.full(shape, FREE, dtype=np.uint8)
+    g = OccupancyGrid(labels, resolution=0.5)
+    n = labels.size
+    cells_in_order = [(r, c) for r in range(shape[0])
+                      for c in range(shape[1])]
+    sources = [cells_in_order[0], cells_in_order[-1], cells_in_order[n // 2]]
+    dist, pred, cells, idx = grid_distances(g, sources)
+    ref_dist, ref_pred = dijkstra(_reference_graph(labels, 0.5),
+                                  directed=False, indices=[0, n - 1, n // 2],
+                                  return_predecessors=True)
+    assert dist.tobytes() == ref_dist.tobytes()
+    assert pred.tobytes() == ref_pred[0].tobytes() and pred.shape == (n,)
+    # sums of 0.5 are exact
+    assert dist[0].tolist() == [0.5 * k for k in range(n)]
+    assert [tuple(c) for c in cells.tolist()] == cells_in_order
 
 
 def test_shortest_path_cells_corridor():
@@ -229,7 +275,7 @@ def test_tree_path_of_a_multi_source_row_equals_shortest_path():
     free = [tuple(c) for c in np.argwhere(labels == FREE).tolist()]
     robot = free[len(free) // 2]
     dist, pred, cells, idx = grid_distances(g, [robot] + free[::7])
-    tree = (dist[0], pred[0], cells, idx)
+    tree = (dist[0], pred, cells, idx)
     targets = [(r, c) for r in range(15) for c in range(17)]
     paths = [tree_path(tree, robot, cell) for cell in targets]
     assert paths == [shortest_path_cells(g, robot, cell) for cell in targets]
@@ -284,3 +330,13 @@ def test_load_world_bad_sidecar(tmp_path):
     (tmp_path / "bad.map.json").write_text("{nope")
     with pytest.raises(WorldFormatError, match="sidecar"):
         load_world(path)
+    for text, match in (("[1]", "must be a JSON object"),
+                        ('{"resolution": true}',
+                         "resolution must be a number"),
+                        ('{"fov": null}', "fov must be a number"),
+                        # beyond the double range, so float() would raise
+                        ('{"sensor_radius": 1' + "0" * 400 + "}",
+                         "sensor_radius must be a number")):
+        (tmp_path / "bad.map.json").write_text(text)
+        with pytest.raises(WorldFormatError, match=match):
+            load_world(path)
