@@ -102,38 +102,22 @@ def make_instance(n: int, index: int, base_seed: int,
 
 def generated_sources(sizes, count: int, base_seed: int,
                       p_max: float = 0.9) -> list:
+    """(name, Instance) pairs, each built once by make_instance."""
     if count < 0:
         raise BenchConfigError("count must be >= 0")
     if not (0.0 <= p_max < 1.0):
         raise BenchConfigError(f"p-max must lie in [0, 1), got {p_max}")
-    out = []
-    for n in sizes:
-        for k in range(count):
-            name = f"rand-n{n:03d}-k{k:02d}-s{base_seed}"
-            out.append({"kind": "gen", "key": name, "name": name, "n": n,
-                        "index": k, "seed": base_seed, "p_max": p_max})
-    return out
+    insts = [make_instance(n, k, base_seed, p_max)
+             for n in sizes for k in range(count)]
+    return [(inst.name, inst) for inst in insts]
 
 
 def file_sources(paths, metric_closure: bool = False) -> list:
-    """File-backed sources; each file is loaded once here so sizes are
-    known before the grid runs."""
-    out = []
-    for path in paths:
-        inst = load_instance(path, metric_closure=metric_closure)
-        name = os.path.splitext(os.path.basename(str(path)))[0]
-        out.append({"kind": "file", "key": str(path), "name": name,
-                    "n": inst.n, "path": str(path),
-                    "metric_closure": bool(metric_closure)})
-    return out
-
-
-def _materialize(source: dict) -> Instance:
-    if source["kind"] == "gen":
-        return make_instance(source["n"], source["index"], source["seed"],
-                             source["p_max"])
-    return load_instance(source["path"],
-                         metric_closure=source["metric_closure"])
+    """(name, Instance) pairs, each file loaded once; a pair's name is its
+    file name without the extension."""
+    return [(os.path.splitext(os.path.basename(str(path)))[0],
+             load_instance(path, metric_closure=metric_closure))
+            for path in paths]
 
 
 def run_solver(inst: Instance, spec: SolverSpec, time_limit: float,
@@ -152,19 +136,18 @@ def run_solver(inst: Instance, spec: SolverSpec, time_limit: float,
 
 
 def _run_one(job: dict) -> dict:
-    source = job["source"]
     spec = parse_solver(job["solver"])
     row = {
-        "key": source["key"], "instance": source["name"], "n": source["n"],
+        "key": job["key"], "instance": job["name"], "n": job["inst"].n,
         "solver": spec.token, "kind": spec.kind, "eps": spec.epsilon,
         "heuristic": spec.use_heuristic, "rep": job["rep"],
         "status": "error", "cost": None, "cost_ratio": None,
         "expansions": 0, "prunes": 0, "wall_time": 0.0,
     }
     try:
-        res = run_solver(_materialize(source), spec, job["time_limit"])
+        res = run_solver(job["inst"], spec, job["time_limit"])
     except Exception as exc:
-        print(f"bench: {source['name']} / {spec.token}: "
+        print(f"bench: {job['name']} / {spec.token}: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return row
     row["status"] = res.status
@@ -177,8 +160,9 @@ def _run_one(job: dict) -> dict:
 
 def run_grid(sources, solver_tokens, reps: int = 1,
              time_limit: float = DEFAULT_TIME_LIMIT, jobs: int = 1) -> list:
-    """Run every source x solver x repetition; returns rows sorted by
-    (instance, solver, repetition) with cost ratios attached."""
+    """Run every (name, Instance) source x solver x repetition; returns
+    rows sorted by (instance, solver, repetition) with cost ratios
+    attached. Ratios compare rows of the same source position."""
     if reps < 1:
         raise BenchConfigError("repetitions must be >= 1")
     if jobs < 1:
@@ -186,17 +170,17 @@ def run_grid(sources, solver_tokens, reps: int = 1,
     specs = [parse_solver(t) for t in solver_tokens]
     if not specs:
         raise BenchConfigError("need at least one solver")
-    for spec in specs:
-        if spec.kind == "oracle":
-            for src in sources:
-                if src["n"] > ORACLE_CAP:
-                    raise BenchConfigError(
-                        f"oracle is capped at {ORACLE_CAP} vertices; "
-                        f"{src['name']} has {src['n']}")
+    if any(spec.kind == "oracle" for spec in specs):
+        for name, inst in sources:
+            if inst.n > ORACLE_CAP:
+                raise BenchConfigError(
+                    f"oracle is capped at {ORACLE_CAP} vertices; "
+                    f"{name} has {inst.n}")
     jobs_list = [
-        {"source": src, "solver": spec.token, "rep": rep,
-         "time_limit": time_limit}
-        for src in sources for spec in specs for rep in range(reps)
+        {"key": key, "name": name, "inst": inst, "solver": spec.token,
+         "rep": rep, "time_limit": time_limit}
+        for key, (name, inst) in enumerate(sources)
+        for spec in specs for rep in range(reps)
     ]
     if jobs == 1 or len(jobs_list) <= 1:
         rows = [_run_one(j) for j in jobs_list]

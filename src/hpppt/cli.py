@@ -69,14 +69,12 @@ def _emit(text: str, out_path) -> None:
 def cmd_gen(args) -> int:
     if args.count < 1:
         raise BenchConfigError("--count must be >= 1")
-    sizes = parse_sizes(args.sizes)
+    sources = bench_mod.generated_sources(parse_sizes(args.sizes), args.count,
+                                          args.seed, args.p_max)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    for source in bench_mod.generated_sources(sizes, args.count, args.seed,
-                                              args.p_max):
-        inst = bench_mod.make_instance(source["n"], source["index"],
-                                       args.seed, args.p_max)
-        path = os.path.join(out_dir, source["name"] + ".hpt")
+    for name, inst in sources:
+        path = os.path.join(out_dir, name + ".hpt")
         save_instance(inst, path)
         print(path)
     return 0

@@ -513,10 +513,10 @@ class ExploreLog:
         return "\n".join(out) + "\n"
 
 
-def _goal_alive(frontiers_set, goal, merge_dist) -> bool:
+def _goal_alive(frontiers, goal, merge_dist) -> bool:
     gr, gc = goal
     lim = merge_dist * merge_dist
-    for (r, c) in frontiers_set:
+    for (r, c) in frontiers:
         if (r - gr) * (r - gr) + (c - gc) * (c - gc) <= lim:
             return True
     return False
@@ -582,14 +582,12 @@ def run_exploration(world: WorldModel, prior: PriorField, planner: str,
             status = "exhausted"
             break
         fcount = len(frontiers)
-        frontier_set = set(frontiers)
+        # a plan leaves the robot short of its goal, so a non-empty path
+        # means goal is set, differs from robot and fcount_at_plan > 0
         need_replan = (
             not path
-            or goal is None
-            or robot == goal
-            or not _goal_alive(frontier_set, goal, cfg.cluster.merge_dist)
-            or (fcount_at_plan > 0
-                and abs(fcount - fcount_at_plan) > cfg.replan_delta * fcount_at_plan)
+            or not _goal_alive(frontiers, goal, cfg.cluster.merge_dist)
+            or abs(fcount - fcount_at_plan) > cfg.replan_delta * fcount_at_plan
         )
         replanned = False
         if need_replan:
@@ -621,8 +619,6 @@ def run_exploration(world: WorldModel, prior: PriorField, planner: str,
         frontiers = extract_frontiers(grid)
         steps.append(ExploreStep(len(steps) + 1, t, robot, revealed,
                                  len(frontiers), clusters_n, replanned))
-    else:
-        status = "truncated"
     if status == "truncated" and success():
         status = "found"
     return ExploreLog(planner, seed, name or "world", status, t, steps)

@@ -92,6 +92,12 @@ class Instance:
     def __setattr__(self, key, value):
         raise AttributeError("Instance is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, so a loaded copy is
+        # validated again and its arrays are read-only
+        return (Instance, (self.cost, self.prob, self.start, self.name,
+                           self.coords, self.seed))
+
     def restrict(self, verts, prob, name="") -> "Instance":
         """Principal sub-instance on the distinct vertices verts, with
         verts[0] as its start 0 and prob as its probabilities.

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hpppt import save_instance
+from hpppt import bench, save_instance
 from hpppt.bench import (CSV_HEADER, BenchConfigError, best_known,
                          file_sources, generated_sources, grid_exit_code,
                          make_instance, parse_sizes, parse_solver,
@@ -58,8 +58,13 @@ def test_make_instance_deterministic():
 def test_generated_sources():
     srcs = generated_sources([4, 5], count=3, base_seed=1)
     assert len(srcs) == 6
-    assert srcs[0]["name"] == "rand-n004-k00-s1"
-    assert {s["n"] for s in srcs} == {4, 5}
+    assert [name for name, _ in srcs[:3]] == [
+        "rand-n004-k00-s1", "rand-n004-k01-s1", "rand-n004-k02-s1"]
+    assert all(inst.name == name for name, inst in srcs)
+    assert [inst.n for _, inst in srcs] == [4, 4, 4, 5, 5, 5]
+    ref = make_instance(5, 2, 1)
+    assert np.array_equal(srcs[5][1].cost, ref.cost)
+    assert np.array_equal(srcs[5][1].prob, ref.prob)
     assert generated_sources([4], count=0, base_seed=1) == []
     with pytest.raises(BenchConfigError):
         generated_sources([4], count=1, base_seed=1, p_max=1.0)
@@ -71,8 +76,38 @@ def test_file_sources(tmp_path):
     save_instance(inst, path)
     srcs = file_sources([path])
     assert len(srcs) == 1
-    assert srcs[0]["n"] == 6
-    assert srcs[0]["name"] == "six"
+    name, loaded = srcs[0]
+    assert name == "six"
+    assert loaded.n == 6
+    assert np.array_equal(loaded.cost, inst.cost)
+    assert np.array_equal(loaded.prob, inst.prob)
+
+
+def test_each_instance_built_or_loaded_once(tmp_path, monkeypatch):
+    path = tmp_path / "five.hpt"
+    save_instance(make_instance(5, 0, 2), path)
+    calls = {"make": 0, "load": 0}
+    make, load = bench.make_instance, bench.load_instance
+
+    def counting_make(*args, **kwargs):
+        calls["make"] += 1
+        return make(*args, **kwargs)
+
+    def counting_load(*args, **kwargs):
+        calls["load"] += 1
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "make_instance", counting_make)
+    monkeypatch.setattr(bench, "load_instance", counting_load)
+    srcs = generated_sources([5, 6], count=2, base_seed=3)
+    rows = run_grid(srcs, ("rpt", "rpt:0.1", "greedy", "blind"), reps=3)
+    assert len(rows) == 4 * 4 * 3
+    assert calls == {"make": 4, "load": 0}
+    # the same path twice: two loads, and two ratio groups
+    rows = run_grid(file_sources([path, path]), ("rpt", "greedy"), reps=2)
+    assert len(rows) == 2 * 2 * 2
+    assert calls == {"make": 4, "load": 2}
+    assert sorted({r["key"] for r in rows}) == [0, 1]
 
 
 SOLVERS = ("blind", "greedy", "oracle", "rpt", "rpt:0.1")
@@ -172,12 +207,12 @@ def test_run_grid_validates_args():
         run_grid(srcs, ())
 
 
-def test_failures_become_rows_not_exceptions(tmp_path, capfd):
-    inst = make_instance(5, 0, 2)
-    path = tmp_path / "gone.hpt"
-    save_instance(inst, path)
-    srcs = file_sources([path])
-    path.unlink()
+def test_failures_become_rows_not_exceptions(monkeypatch, capfd):
+    def broken(inst, spec, time_limit, tour=None):
+        raise FileNotFoundError(f"no such file: {inst.name}.hpt")
+
+    monkeypatch.setattr(bench, "run_solver", broken)
+    srcs = generated_sources([5], count=1, base_seed=2)
     rows = run_grid(srcs, ("rpt", "greedy"))
     assert len(rows) == 2
     assert all(r["status"] == "error" for r in rows)
@@ -188,8 +223,8 @@ def test_failures_become_rows_not_exceptions(tmp_path, capfd):
     lines = err.splitlines()
     assert len(lines) == 2
     for line, token in zip(lines, ("rpt", "greedy")):
-        assert f"{srcs[0]['name']} / {token}: FileNotFoundError: " in line
-        assert "gone.hpt" in line
+        assert line == (f"bench: rand-n005-k00-s2 / {token}: "
+                        "FileNotFoundError: no such file: rand-n005-k00-s2.hpt")
 
 
 def test_exit_codes():

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+import hpppt.bench
 from hpppt.cli import main
+from hpppt.generate import GenerationError
 
 CORRIDOR = "############\n#R........T#\n############\n"
 
@@ -191,6 +193,27 @@ def test_flags_that_take_effect_still_accepted(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["gen", "bench"])
+def test_generation_error_exits_two_before_any_output(tmp_path, capsys,
+                                                      monkeypatch, command):
+    real = hpppt.bench.generate_random
+
+    def failing(n, **kwargs):
+        if n == 6:
+            raise GenerationError("could not place 6 points")
+        return real(n, **kwargs)
+
+    monkeypatch.setattr(hpppt.bench, "generate_random", failing)
+    argv = [command, "--sizes", "5,6", "--count", "1"]
+    if command == "gen":
+        argv += ["--out", str(tmp_path / "inst")]
+    assert main(argv) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: could not place 6 points\n"
+    assert not (tmp_path / "inst").exists()
+
+
 def test_bench_csv_and_summary(tmp_path, capsys):
     rc = main(["bench", "--sizes", "5", "--count", "2",
                "--solvers", "rpt,greedy,oracle", "--jobs", "1"])
@@ -240,6 +263,27 @@ def test_bench_parallel_jobs_stable(tmp_path, capsys):
         return [line.rsplit(",", 1)[0] for line in text.splitlines()]
 
     assert strip(serial) == strip(para)
+
+
+def test_bench_files_parallel_jobs_stable(tmp_path, capsys):
+    out = tmp_path / "inst"
+    assert main(["gen", "--sizes", "5,6", "--count", "2", "--seed", "4",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    # the workers receive the loaded instances through pickle
+    argv = ["bench", *sorted(str(p) for p in out.glob("*.hpt")),
+            "--solvers", "rpt,greedy,blind"]
+    assert main(argv + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr()
+    assert main(argv + ["--jobs", "2"]) == 0
+    para = capsys.readouterr()
+
+    def strip(text):
+        return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+
+    assert len(serial.out.splitlines()) == 1 + 4 * 3
+    assert strip(serial.out) == strip(para.out)
+    assert serial.err == para.err
 
 
 def test_bench_files_as_input(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 import hpppt.exploration
 from hpppt.exploration import (ClusterConfig, ExploreConfig, GoalCluster,
-                               PriorField, _phi_geometric_cells,
+                               PriorField, _phi_geometric_cells, _plan_goal,
                                assign_probability,
                                build_search_graph, cluster_goals,
                                forest_world, mean_shift, phi_geometric,
@@ -17,6 +17,7 @@ from hpppt.exploration import (ClusterConfig, ExploreConfig, GoalCluster,
 from hpppt.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, WorldModel,
                         extract_frontiers, parse_world, reveal,
                         shortest_path_cells, tree_path)
+from hpppt.solver import SolveResult
 
 PRIOR = PriorField()
 
@@ -186,6 +187,14 @@ def test_build_search_graph_degenerate_cases():
     only_self = [GoalCluster((1, 1), 0.7)]
     inst, cells, _, _ = build_search_graph(g, only_self, (1, 1))
     assert inst is None
+    # every goal walled off from the robot
+    labels, _, _ = parse_world("R#..T\n")
+    walled = [GoalCluster((0, 2), 0.3), GoalCluster((0, 4), 0.8)]
+    inst, cells, dropped, tree = build_search_graph(OccupancyGrid(labels),
+                                                    walled, (0, 0))
+    assert inst is None and cells == [(0, 0)]
+    assert dropped == [(0, 2), (0, 4)]
+    assert tree_path(tree, (0, 0), (0, 2)) is None
 
 
 CORRIDOR = "############\n#R........T#\n############\n"
@@ -241,6 +250,35 @@ def test_rpt_replans_use_the_planner_settings(monkeypatch, cfg, eps, limit):
     run_exploration(world, PRIOR, "rpt", cfg)
     assert calls and calls == [(eps, limit, {"first_move": True})] * len(
         calls)
+
+
+def test_timed_out_plan_walks_to_the_nearest_frontier(monkeypatch):
+    events = []
+    nearest = hpppt.exploration._nearest_frontier
+
+    def timing_out(inst, solver_cfg, **kw):
+        events.append("solve")
+        return SolveResult("timeout", None, None)
+
+    def spy(tree, frontiers):
+        events.append("nearest")
+        return nearest(tree, frontiers)
+
+    monkeypatch.setattr(hpppt.exploration, "solve", timing_out)
+    labels, _, _ = parse_world("R..T\n")
+    inst, cells, _, _ = build_search_graph(
+        OccupancyGrid(labels), [GoalCluster((0, 3), 0.5)], (0, 0))
+    assert _plan_goal(inst, cells, "rpt", ExploreConfig()) is None
+    monkeypatch.setattr(hpppt.exploration, "_nearest_frontier", spy)
+    events.clear()
+    log = run_exploration(_world(CORRIDOR, sensor_radius=3.0), PRIOR, "rpt",
+                          ExploreConfig(max_steps=200))
+    assert log.status == "found"
+    assert "solve" in events
+    assert events.count("nearest") == sum(s.replanned for s in log.steps)
+    # each timed-out plan falls back to the nearest frontier
+    assert all(events[i + 1] == "nearest"
+               for i, e in enumerate(events) if e == "solve")
 
 
 def test_exploration_exhausts_sealed_chamber():

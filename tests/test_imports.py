@@ -1,6 +1,7 @@
 """scipy serves only the grid shortest paths. Every other entry point,
 solve, bench and lifelong missions included, imports and runs without
-loading it; a grid search loads it on first use."""
+loading it; a grid search loads it on first use. A bench grid with one
+job runs without loading the process pool."""
 
 import json
 import os
@@ -23,6 +24,8 @@ CODE = textwrap.dedent("""
     base = generate_random(6, seed=3)
     save_instance(base, sys.argv[1])
     assert main(["solve", sys.argv[1]]) == 0
+    assert main(["bench", sys.argv[1], "--solvers", "rpt,greedy",
+                 "--jobs", "1", "--out", sys.argv[1] + ".csv"]) == 0
     inst = Instance(base.cost, np.full(6, 0.5), 0, base.name, base.coords)
     log = hpppt.run_mission(inst, GroundTruth.from_targets(6, [2]),
                             SensorModel(0.9, 0.1),

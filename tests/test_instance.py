@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,8 @@ from hpppt import (Instance, InvalidInstanceError, InvalidPathError,
                    MetricViolationError, check_path, expected_cost_direct,
                    expected_cost_q, is_metric, is_solution_path,
                    max_metric_violation, metric_closure, require_metric)
+from hpppt.bench import make_instance
+from hpppt.formats import parse_hpt
 from support import expected_cost_by_cases, random_instance
 
 TRI = Instance([[0, 1, 4], [1, 0, 2], [4, 2, 0]], [0.2, 0.5, 0.3], 0, "tri")
@@ -144,6 +149,32 @@ def test_instances_are_immutable():
         TRI.start = 1
     assert not TRI.cost.flags.writeable
     assert not TRI.prob.flags.writeable
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_instance(6, 1, 4),
+    lambda: parse_hpt("NAME full\nN 3\nSTART 1\nPROB 0.2 0.5 0.3\n"
+                      "MATRIX FULL\n0 1 4\n1 0 2\n4 2 0\n"),
+    lambda: TRI.restrict(np.array([2, 0]), [0.4, 0.1], "sub"),
+], ids=["generated", "matrix-full", "restricted"])
+@pytest.mark.parametrize("clone", [
+    lambda inst: pickle.loads(pickle.dumps(inst)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_instances_pickle_and_copy(make, clone):
+    inst = make()
+    back = clone(inst)
+    assert type(back) is Instance and back is not inst
+    for field in ("cost", "prob", "coords"):
+        a, b = getattr(inst, field), getattr(back, field)
+        if a is None:
+            assert b is None
+        else:
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+            assert not b.flags.writeable
+    assert (back.start, back.name, back.seed) == (inst.start, inst.name,
+                                                  inst.seed)
+    with pytest.raises(AttributeError):
+        back.start = 0
 
 
 def test_non_metric_costs_are_allowed_at_construction():
