@@ -8,6 +8,7 @@ import csv
 import io
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 from .baselines import (ORACLE_CAP, blind_hpp_solve, greedy_solve,
@@ -113,11 +114,18 @@ def generated_sources(sizes, count: int, base_seed: int,
 
 
 def file_sources(paths, metric_closure: bool = False) -> list:
-    """(name, Instance) pairs, each file loaded once; a pair's name is its
-    file name without the extension."""
-    return [(os.path.splitext(os.path.basename(str(path)))[0],
-             load_instance(path, metric_closure=metric_closure))
-            for path in paths]
+    """(name, Instance) pairs, each file loaded once. A pair's name is its
+    file name without the extension; where two paths share that name, it
+    is the path as given, and where one path is listed more than once,
+    that path with '#' and its position in the list (from 1)."""
+    paths = [str(path) for path in paths]
+    names = [os.path.splitext(os.path.basename(path))[0] for path in paths]
+    for rename in (lambda i: paths[i], lambda i: f"{paths[i]}#{i + 1}"):
+        counts = Counter(names)
+        names = [rename(i) if counts[name] > 1 else name
+                 for i, name in enumerate(names)]
+    return [(name, load_instance(path, metric_closure=metric_closure))
+            for name, path in zip(names, paths)]
 
 
 def run_solver(inst: Instance, spec: SolverSpec, time_limit: float,
@@ -161,8 +169,9 @@ def _run_one(job: dict) -> dict:
 def run_grid(sources, solver_tokens, reps: int = 1,
              time_limit: float = DEFAULT_TIME_LIMIT, jobs: int = 1) -> list:
     """Run every (name, Instance) source x solver x repetition; returns
-    rows sorted by (instance, solver, repetition) with cost ratios
-    attached. Ratios compare rows of the same source position."""
+    rows sorted by (instance, source position, solver, repetition), so each
+    source's rows stay together, with cost ratios attached. Ratios compare
+    rows of the same source position."""
     if reps < 1:
         raise BenchConfigError("repetitions must be >= 1")
     if jobs < 1:
@@ -190,7 +199,7 @@ def run_grid(sources, solver_tokens, reps: int = 1,
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             rows = list(ex.map(_run_one, jobs_list))
-    rows.sort(key=lambda r: (r["instance"], r["solver"], r["rep"]))
+    rows.sort(key=lambda r: (r["instance"], r["key"], r["solver"], r["rep"]))
     attach_ratios(rows)
     return rows
 

@@ -20,8 +20,6 @@ from .lifelong import (PLANNERS, GroundTruth, MissionConfig, SensorModel,
                        run_mission)
 from .solver import DEFAULT_TIME_LIMIT
 
-TIME_LIMIT_ENV = "HPPPT_TIME_LIMIT_SECS"
-
 # the other input errors all subclass ValueError; GenerationError does not
 CONFIG_ERRORS = (GenerationError, ValueError, OSError)
 
@@ -36,14 +34,7 @@ def _flag(*names, **kwargs) -> argparse.ArgumentParser:
 
 def resolve_time_limit(explicit) -> float:
     if explicit is None:
-        env = os.environ.get(TIME_LIMIT_ENV)
-        if env is None:
-            return DEFAULT_TIME_LIMIT
-        try:
-            explicit = float(env)
-        except ValueError:
-            raise BenchConfigError(
-                f"bad {TIME_LIMIT_ENV} value {env!r}") from None
+        return DEFAULT_TIME_LIMIT
     if not (explicit > 0 and math.isfinite(explicit)):
         raise BenchConfigError(f"time limit must be positive, got {explicit}")
     return float(explicit)
@@ -285,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
                  help="base seed for all derived randomness (default 0)")
     time_limit = _flag("--time-limit", type=float, default=None,
                        metavar="SECS",
-                       help=f"rpt only: per-solve limit; falls back to "
-                            f"${TIME_LIMIT_ENV} then 60")
+                       help="rpt only: per-solve limit (default "
+                            f"{DEFAULT_TIME_LIMIT:g})")
     jobs = _flag("--jobs", type=int, default=None,
                  help="worker processes for grids (default: logical cores)")
     out = _flag("--out", default=None,

@@ -42,7 +42,7 @@ class Instance:
     seed: optional generator seed recorded for provenance.
     """
 
-    __slots__ = ("cost", "prob", "start", "name", "coords", "seed")
+    __slots__ = ("cost", "prob", "start", "name", "coords", "seed", "_metric")
 
     def __init__(self, cost, prob, start=0, name="", coords=None, seed=None):
         cost = np.array(cost, dtype=np.float64)
@@ -88,13 +88,14 @@ class Instance:
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "seed", None if seed is None else int(seed))
+        object.__setattr__(self, "_metric", None)
 
     def __setattr__(self, key, value):
         raise AttributeError("Instance is immutable")
 
     def __reduce__(self):
-        # pickle and copy rebuild through __init__, so a loaded copy is
-        # validated again and its arrays are read-only
+        # pickle and copy rebuild through __init__: a copy is validated and
+        # its metric verdict computed again, and its arrays are read-only
         return (Instance, (self.cost, self.prob, self.start, self.name,
                            self.coords, self.seed))
 
@@ -104,7 +105,10 @@ class Instance:
 
         A principal submatrix of a validated cost matrix is finite, has a
         zero diagonal and a positive off-diagonal, so only verts and prob
-        are checked. The result carries no coords and no seed."""
+        are checked. The result carries no coords and no seed. It takes
+        this instance's metric verdict: a principal submatrix violates the
+        triangle inequality by no more than its parent, and a False verdict
+        only switches superset dominance off, which is always sound."""
         idx = np.asarray(verts)
         if idx.ndim != 1 or idx.size == 0:
             raise InvalidInstanceError("verts must be a non-empty sequence")
@@ -137,6 +141,7 @@ class Instance:
         object.__setattr__(sub, "name", str(name))
         object.__setattr__(sub, "coords", None)
         object.__setattr__(sub, "seed", None)
+        object.__setattr__(sub, "_metric", is_metric(self))
         return sub
 
     @property
@@ -250,20 +255,22 @@ def max_metric_violation(inst: Instance) -> float:
     return float(np.max(inst.cost - _relay_costs(inst.cost)))
 
 
-def require_metric(inst: Instance, rel_tol: float = METRIC_REL_TOL) -> None:
-    """Raise MetricViolationError when some cost exceeds its relay
-    shortcut by more than rel_tol times the largest cost (at least 1)."""
-    scale = max(1.0, float(np.max(inst.cost)))
-    gap = max_metric_violation(inst)
-    if gap > rel_tol * scale:
+def is_metric(inst: Instance) -> bool:
+    """Whether no cost exceeds its relay shortcut by more than
+    METRIC_REL_TOL times the largest cost (at least 1). Computed at most
+    once per instance, with one Floyd-Warshall, and kept on it."""
+    verdict = inst._metric
+    if verdict is None:
+        scale = max(1.0, float(np.max(inst.cost)))
+        verdict = max_metric_violation(inst) <= METRIC_REL_TOL * scale
+        object.__setattr__(inst, "_metric", verdict)
+    return verdict
+
+
+def require_metric(inst: Instance) -> None:
+    """Raise MetricViolationError unless is_metric(inst)."""
+    if not is_metric(inst):
+        gap = max_metric_violation(inst)
         raise MetricViolationError(
             f"triangle inequality violated by up to {gap:.6g}; "
             "apply metric_closure to repair")
-
-
-def is_metric(inst: Instance, rel_tol: float = METRIC_REL_TOL) -> bool:
-    try:
-        require_metric(inst, rel_tol)
-    except MetricViolationError:
-        return False
-    return True

@@ -84,6 +84,9 @@ than k vertices or is the same set, which the duplicate table settles
 under the same slack, so a query (_has_superset) scans only the buckets
 above k, each up to g + slack, and stops at the largest size yet expanded
 at that vertex. Entries stay even once dominated, as each was expanded.
+Superset dominance needs the triangle inequality, which lets a superset
+skip the vertices it already visited, so a solve runs it only when
+is_metric holds; the duplicate table compares equal sets and needs none.
 
 Exact search extracts the least f, ties to the state with fewest
 unvisited vertices, then the least g, then the first generated. Setting
@@ -109,22 +112,22 @@ g + q * (c + gamma[u, krem]) exceeds
     cut = (1 + epsilon) * (U + 2 n * slack) * (1 + 1e-9)
 
 (slack the 1e-9 of dominance) is dropped before any other work on it and
-counted in pruned_bound. On a metric input the search then extracts the
-same states in the same order, so the path, the cost bits, expansions,
-generations and pruned_extracted stay the same; only pruned_generated and
-peak_open fall. The argument, in exact arithmetic:
+counted in pruned_bound. The search then extracts the same states in the
+same order, so the path, the cost bits, expansions, generations and
+pruned_extracted stay the same; only pruned_generated and peak_open fall.
+The argument, in exact arithmetic:
 - Until the goal is extracted, the queue holds a live state whose f is at
   most C* + (2n - 1) slack: the state of an optimal path or, where that
   was pruned, the state that pruned it, whose best completion is at most
   one slack dearer (a superset may skip the vertices it already visited,
-  by the triangle inequality). Along the way the duplicate table adds a
-  net slack at most once per set size, as a displacing state is cheaper
-  by more than a slack, and superset dominance at most once per larger
-  size it jumps to. A duplicate link keeps the set and a superset link
-  enlarges it, so the count holds in any order of links, as for a child
-  pruned as a duplicate of a queued state that superset dominance drops
-  later. So every extracted f, exact or focal, is at most
-  (1 + epsilon) * (C* + (2n - 1) slack).
+  as superset dominance runs only under the triangle inequality). Along
+  the way the duplicate table adds a net slack at most once per set size,
+  as a displacing state is cheaper by more than a slack, and superset
+  dominance at most once per larger size it jumps to. A duplicate link
+  keeps the set and a superset link enlarges it, so the count holds in
+  any order of links, as for a child pruned as a duplicate of a queued
+  state that superset dominance drops later. So every extracted f, exact
+  or focal, is at most (1 + epsilon) * (C* + (2n - 1) slack).
 - A child's key is at least its gamma key, as the tree term and pathmax
   only raise it. So a cut child is never extracted, and it never
   joins a frontier. Its one other effect would be its duplicate-table
@@ -140,9 +143,10 @@ peak_open fall. The argument, in exact arithmetic:
 The margin spends one of its 2n slacks there. A run of later children at
 one pair whose g each fall less than a slack below the last could carry
 the difference further; the factor 1 + 1e-9, which also absorbs rounding
-(far below 1e-9 relative), leaves U * 1e-9 more for that. Without the
-triangle inequality superset dominance is unsound anyway, and the cut can
-drain the queue; solve then returns the incumbent's path and U as ok.
+(far below 1e-9 relative), leaves U * 1e-9 more for that. By the first
+point the queue holds a live state until the goal is extracted, so no
+search drains its queue: every search ends at the goal, the first-move
+stop or the time limit.
 
 The first-move stop. A robot that replans after every reading carries
 out only the first move of each plan, so solve(..., first_move=True)
@@ -161,12 +165,7 @@ now, and it lies in the goal's branch: the full search returns the same
 move. The argument rests only on which states the search extracts and in
 what order, not on the triangle inequality or on the bounds. If the goal
 is extracted while two branches are live, the result is its path's first
-move. If the queue drains first, the result is the incumbent's first move,
-as the full search returns the incumbent. The one gap is a queue that
-drains after the stop: the full search would then return the incumbent,
-whose first move may lie in another branch. The cut drains the queue only
-without the triangle inequality, where superset dominance is unsound
-anyway. A first-move search is a prefix of the full one, so a time limit
+move. A first-move search is a prefix of the full one, so a time limit
 it hits the full search would hit too, and a timeout returns no path in
 both modes. The bookkeeping runs once per extraction and once per
 expansion, outside the child loop, so a full search pays two flag tests
@@ -189,7 +188,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import Instance
+from .instance import Instance, is_metric
 
 DOMINANCE_TOL = 1e-9
 DEFAULT_TIME_LIMIT = 60.0
@@ -424,8 +423,8 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     search would return, with cost None, and stops as soon as that move is
     settled (module docstring, first-move stop).
 
-    Optimality of the pruning rules relies on costs satisfying the
-    triangle inequality; see instance.require_metric.
+    Superset dominance runs only on costs that satisfy the triangle
+    inequality (instance.is_metric); the other rules need no such property.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -437,6 +436,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     cost = inst.cost.tolist()
     omp_list = (1.0 - inst.prob).tolist()
     use_pruning = cfg.use_pruning
+    use_superset = use_pruning and is_metric(inst)
     eps = cfg.epsilon
     use_focal = eps > 0.0
     f0 = 0.0
@@ -460,7 +460,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
         # the bounds depend on the remaining set only, which states at
         # different vertices share
         tails_of = {}
-    dive_path, upper = _dive(cost, hrows, omp_list, start)
+    _, upper = _dive(cost, hrows, omp_list, start)
     # no child above the cut can change the search (module docstring)
     cut = ((1.0 + eps) * (upper + 2 * n * DOMINANCE_TOL) * (1.0 + 1e-9)
            if use_pruning else float("inf"))
@@ -501,7 +501,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     bound = f0
     TOL = DOMINANCE_TOL
     iters = 0
-    status, path, best = None, None, None
+    best = None
     heappush = heapq.heappush
     heappop = heapq.heappop
     if first_move:
@@ -512,17 +512,16 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
         live = [0] * n
         live[start] = 1
 
-    while open_heap:
+    # the queue never drains before the goal is extracted (module docstring)
+    while True:
         iters += 1
         if (iters & 255) == 0 and time.perf_counter() - t0 > limit:
-            status = "timeout"
+            status, path = "timeout", None
             break
 
         if use_focal:
-            while open_heap and open_heap[0][3] in closed:
+            while open_heap[0][3] in closed:
                 heappop(open_heap)
-            if not open_heap:
-                break
             fmin = open_heap[0][0]
             if fmin > last_fmin:
                 last_fmin = fmin
@@ -550,6 +549,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
             if bg is not None and bg[1] != sid:
                 pruned_extracted += 1
                 continue
+        if use_superset:
             gb = bucket_g[v]
             mb = bucket_m[v]
             nb = len(gb)
@@ -649,9 +649,6 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
                 status, path = "ok", (start, live.index(max(live)))
                 break
 
-    if status is None:
-        # the queue drained, which the cut allows only on a non-metric input
-        status, path, best = "ok", dive_path, upper
     if first_move and status == "ok":
         path, best = path[:2], None
     stats = SearchStats(expansions, generations, pruned_extracted,

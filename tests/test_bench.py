@@ -83,6 +83,25 @@ def test_file_sources(tmp_path):
     assert np.array_equal(loaded.prob, inst.prob)
 
 
+def test_file_rows_of_different_sources_have_distinct_names(tmp_path):
+    """Colliding stems take the path as given, a repeated path adds its
+    list position, and each source's rows stay together."""
+    for sub, k in (("a", 0), ("b", 1)):
+        (tmp_path / sub).mkdir()
+        save_instance(make_instance(5 + k, k, 2), tmp_path / sub / "x.hpt")
+    save_instance(make_instance(4, 0, 2), tmp_path / "y.hpt")
+    a, b, y = (str(tmp_path / "a" / "x.hpt"), str(tmp_path / "b" / "x.hpt"),
+               str(tmp_path / "y.hpt"))
+    srcs = file_sources([a, b, y, a])
+    assert [name for name, _ in srcs] == [a + "#1", b, "y", a + "#4"]
+    rows = run_grid(srcs, ("rpt", "greedy"))
+    assert [(r["instance"], r["solver"]) for r in rows] == [
+        (a + "#1", "greedy"), (a + "#1", "rpt"), (a + "#4", "greedy"),
+        (a + "#4", "rpt"), (b, "greedy"), (b, "rpt"),
+        ("y", "greedy"), ("y", "rpt")]
+    assert [r["n"] for r in rows] == [5, 5, 5, 5, 6, 6, 4, 4]
+
+
 def test_each_instance_built_or_loaded_once(tmp_path, monkeypatch):
     path = tmp_path / "five.hpt"
     save_instance(make_instance(5, 0, 2), path)

@@ -8,8 +8,9 @@ from hpppt import (Instance, InvalidInstanceError, InvalidPathError,
                    MetricViolationError, check_path, expected_cost_direct,
                    expected_cost_q, is_metric, is_solution_path,
                    max_metric_violation, metric_closure, require_metric)
+from hpppt import instance as instance_mod
 from hpppt.bench import make_instance
-from hpppt.formats import parse_hpt
+from hpppt.formats import load_instance, parse_hpt, save_instance
 from support import expected_cost_by_cases, random_instance
 
 TRI = Instance([[0, 1, 4], [1, 0, 2], [4, 2, 0]], [0.2, 0.5, 0.3], 0, "tri")
@@ -183,6 +184,39 @@ def test_non_metric_costs_are_allowed_at_construction():
     assert not is_metric(TRI)
     with pytest.raises(MetricViolationError):
         require_metric(TRI)
+
+
+def test_metric_verdict_is_computed_once_and_carried(tmp_path, monkeypatch):
+    """is_metric runs one Floyd-Warshall per instance and keeps the
+    verdict; load_instance leaves it set, restrict passes the parent's on,
+    and a pickled copy computes its own."""
+    calls = []
+    relay = instance_mod._relay_costs
+
+    def counting_relay(cost):
+        calls.append(len(cost))
+        return relay(cost)
+
+    monkeypatch.setattr(instance_mod, "_relay_costs", counting_relay)
+    tri = Instance(TRI.cost, TRI.prob, 0, "tri")
+    metric = make_instance(6, 0, 4)
+    for _ in range(3):
+        assert not is_metric(tri)
+        assert is_metric(metric)
+        require_metric(metric)
+    assert calls == [3, 6]
+    # a two-vertex sub-instance is metric, but it carries its parent's False
+    assert not is_metric(tri.restrict([0, 1], [0.1, 0.1]))
+    assert is_metric(metric.restrict([3, 1, 4], [0.1, 0.2, 0.3]))
+    assert calls == [3, 6]
+    assert is_metric(pickle.loads(pickle.dumps(metric)))
+    assert calls == [3, 6, 6]
+    path = tmp_path / "six.hpt"
+    save_instance(metric, path)
+    loaded = load_instance(path)
+    assert calls == [3, 6, 6, 6]
+    assert is_metric(loaded)
+    assert calls == [3, 6, 6, 6]
 
 
 def test_metric_closure_repairs_and_is_idempotent():

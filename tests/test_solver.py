@@ -5,7 +5,7 @@ import pytest
 
 from hpppt import (Instance, InvalidConfigError, SearchState, SolverConfig,
                    build_heuristic_table, expected_cost_q,
-                   heuristic_value, oracle_solve, solve)
+                   heuristic_value, is_metric, oracle_solve, solve)
 from hpppt import solver as solver_mod
 from hpppt.baselines import nearest_neighbor
 from hpppt.bench import make_instance
@@ -215,32 +215,6 @@ def test_dive_without_heuristic_is_nearest_neighbor():
         assert res.cost <= upper
 
 
-def test_drained_queue_returns_incumbent(monkeypatch):
-    """An incumbent that claims less than the optimum cuts every goal, so
-    the queue drains; solve then returns the incumbent's path and cost as
-    ok, in exact and focal mode."""
-    rng = np.random.default_rng(101)
-    cases = [random_instance(rng, int(rng.integers(3, 9))) for _ in range(5)]
-    optima = [solve(inst, SolverConfig(time_limit=None)).cost
-              for inst in cases]
-    real_dive = solver_mod._dive
-    dived = {}
-
-    def low_dive(*args):
-        dived["path"], _ = real_dive(*args)
-        return dived["path"], dived["bound"]
-
-    monkeypatch.setattr(solver_mod, "_dive", low_dive)
-    for inst, opt in zip(cases, optima):
-        dived["bound"] = 0.5 * opt
-        for eps in (0.0, 0.2):
-            res = solve(inst, SolverConfig(epsilon=eps, time_limit=None))
-            assert res.status == "ok"
-            assert res.path == dived["path"]
-            assert res.cost == res.stats.upper_bound == 0.5 * opt
-            assert res.stats.pruned_bound > 0
-
-
 def test_timeout_reports_status():
     rng = np.random.default_rng(43)
     inst = random_instance(rng, 18, p_max=0.05)
@@ -286,26 +260,44 @@ def test_first_move_equals_full_search_prefix():
     assert stopped_early > 0
 
 
-def test_first_move_of_a_drained_queue_is_the_incumbents(monkeypatch):
-    """An incumbent that claims a zero cost cuts every root child, so the
-    queue drains: the first move is the incumbent's, in both modes."""
-    real_dive = solver_mod._dive
-    dived = {}
+def test_ok_is_sound_on_non_metric_costs():
+    """Costs that break the triangle inequality switch superset dominance
+    off, so every ok result is within (1 + eps) of the exhaustive optimum,
+    and every first move is the full search's, in exact and focal mode."""
+    rng = np.random.default_rng(2026)
+    non_metric = 0
+    for _ in range(20):
+        for n in range(5, 11):
+            for p_max in (0.1, 0.5, 0.9):
+                inst = random_instance(rng, n, p_max, euclidean=False)
+                non_metric += not is_metric(inst)
+                want = ((1.0 - inst.prob[0])
+                        * completion_table(inst)(0, (1 << n) - 2))
+                for eps in (0.0, 0.2):
+                    cfg = SolverConfig(epsilon=eps, time_limit=None)
+                    full = solve(inst, cfg)
+                    assert full.status == "ok"
+                    assert full.cost <= (1.0 + eps) * want + 1e-9
+                    first = solve(inst, cfg, first_move=True)
+                    assert first.status == "ok"
+                    assert first.path == full.path[:2]
+    assert non_metric > 300
 
-    def zero_dive(*args):
-        dived["path"], _ = real_dive(*args)
-        return dived["path"], 0.0
 
-    monkeypatch.setattr(solver_mod, "_dive", zero_dive)
-    rng = np.random.default_rng(31)
-    for n in (2, 5, 9):
-        inst = random_instance(rng, n)
-        for eps in (0.0, 0.2):
-            res = solve(inst, SolverConfig(epsilon=eps), first_move=True)
-            assert res.status == "ok"
-            assert res.path == dived["path"][:2]
-            assert res.cost is None
-            assert res.stats.expansions == 1
+def test_restricted_non_metric_instance_solves_to_optimum():
+    """A sub-instance carries its parent's metric verdict, so restricting
+    non-metric costs keeps superset dominance off and the result exact."""
+    rng = np.random.default_rng(2027)
+    for _ in range(60):
+        parent = random_instance(rng, 12, 0.1, euclidean=False)
+        m = int(rng.integers(5, 11))
+        verts = rng.permutation(12)[:m]
+        sub = parent.restrict(verts, rng.uniform(0.0, 0.5, m))
+        assert not is_metric(sub)
+        want = (1.0 - sub.prob[0]) * completion_table(sub)(0, (1 << m) - 2)
+        res = solve(sub, SolverConfig(time_limit=None))
+        assert res.status == "ok"
+        assert res.cost == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_config_validation():
