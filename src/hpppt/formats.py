@@ -19,7 +19,8 @@ import os
 import numpy as np
 
 from .instance import (Instance, InvalidPathError, MetricViolationError,
-                       check_path, euclidean_costs, require_metric)
+                       check_path, euclidean_costs, has_euclidean_costs,
+                       require_metric)
 from .instance import metric_closure as _closure
 
 
@@ -42,8 +43,7 @@ def write_hpt(inst: Instance) -> str:
         lines.append(f"SEED {inst.seed}")
     lines.append("PROB " + " ".join(_fmt(p) for p in inst.prob))
     # COORDS only when parse_hpt would derive exactly these costs again
-    if inst.coords is not None and np.array_equal(
-            euclidean_costs(inst.coords), inst.cost):
+    if has_euclidean_costs(inst):
         lines.append("COORDS")
         for x, y in inst.coords:
             lines.append(f"{_fmt(x)} {_fmt(y)}")

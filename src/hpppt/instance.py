@@ -225,9 +225,27 @@ def expected_cost_q(inst: Instance, order) -> float:
 
 
 def euclidean_costs(coords) -> np.ndarray:
-    """Pairwise Euclidean distances between (n, 2) planar coordinates."""
-    delta = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((delta ** 2).sum(axis=2))
+    """Pairwise Euclidean distances between (n, 2) planar coordinates.
+
+    One axis at a time, in place, with no (n, n, 2) temporaries: the same
+    bytes as np.sqrt(((coords[:, None] - coords) ** 2).sum(axis=2)), since
+    a square is one multiplication and a two-term sum one addition either
+    way."""
+    coords = np.asarray(coords, dtype=np.float64)
+    x = coords[:, 0]
+    y = coords[:, 1]
+    dx = x[:, None] - x
+    dx *= dx
+    dy = y[:, None] - y
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
+def has_euclidean_costs(inst: Instance) -> bool:
+    """Whether inst's costs are bit for bit euclidean_costs(inst.coords)."""
+    return inst.coords is not None and np.array_equal(
+        euclidean_costs(inst.coords), inst.cost)
 
 
 def _relay_costs(cost) -> np.ndarray:
@@ -243,11 +261,16 @@ def metric_closure(inst: Instance) -> Instance:
 
     Idempotent; the result always satisfies the triangle inequality.
     Coordinates are dropped when the closure changed any entry, since they
-    would no longer describe the costs.
+    would no longer describe the costs. The result carries the verdict
+    is_metric True without a second Floyd-Warshall: relaying again lowers
+    no entry of a closure by more than the rounding of one more sum, about
+    2 * n * 2**-53 times the largest cost, far below METRIC_REL_TOL.
     """
     d = _relay_costs(inst.cost)
     coords = inst.coords if np.array_equal(d, inst.cost) else None
-    return Instance(d, inst.prob, inst.start, inst.name, coords, inst.seed)
+    closed = Instance(d, inst.prob, inst.start, inst.name, coords, inst.seed)
+    object.__setattr__(closed, "_metric", True)
+    return closed
 
 
 def max_metric_violation(inst: Instance) -> float:
@@ -255,22 +278,46 @@ def max_metric_violation(inst: Instance) -> float:
     return float(np.max(inst.cost - _relay_costs(inst.cost)))
 
 
+def _judge_metric(inst: Instance) -> float:
+    """Compute and keep inst's metric verdict; return the violation it
+    rests on, 0.0 when the costs are exactly Euclidean."""
+    gap = 0.0 if has_euclidean_costs(inst) else max_metric_violation(inst)
+    scale = max(1.0, float(np.max(inst.cost)))
+    object.__setattr__(inst, "_metric", gap <= METRIC_REL_TOL * scale)
+    return gap
+
+
 def is_metric(inst: Instance) -> bool:
     """Whether no cost exceeds its relay shortcut by more than
     METRIC_REL_TOL times the largest cost (at least 1). Computed at most
-    once per instance, with one Floyd-Warshall, and kept on it."""
-    verdict = inst._metric
-    if verdict is None:
-        scale = max(1.0, float(np.max(inst.cost)))
-        verdict = max_metric_violation(inst) <= METRIC_REL_TOL * scale
-        object.__setattr__(inst, "_metric", verdict)
-    return verdict
+    once per instance and kept on it.
+
+    Costs that are bit for bit euclidean_costs(inst.coords) get True with
+    no Floyd-Warshall, and the shortcut always agrees with one. With
+    u = 2**-53, each computed distance is the true distance times
+    (1 + theta), |theta| <= 3u: one rounding for each difference, square,
+    the sum and the square root. Every relay that Floyd-Warshall forms is
+    a float sum of at most n such costs, so by the plane's triangle
+    inequality it is at least (1 - (n + 2)u) times the true distance
+    between its ends. So cost - relay <= (n + 6)u * max cost, far below
+    METRIC_REL_TOL * max(1, max cost) for any n below 10**6. Overflow
+    gives inf costs, which Instance rejects, and underflow adds only
+    absolute errors far below the floor of 1e-9. Every other instance
+    (matrices, rounded TSPLIB distances, grid path lengths, coords whose
+    costs differ) pays one Floyd-Warshall."""
+    if inst._metric is None:
+        _judge_metric(inst)
+    return inst._metric
 
 
 def require_metric(inst: Instance) -> None:
-    """Raise MetricViolationError unless is_metric(inst)."""
-    if not is_metric(inst):
+    """Raise MetricViolationError unless is_metric(inst). A fresh instance
+    pays one Floyd-Warshall for both the verdict and the message."""
+    gap = _judge_metric(inst) if inst._metric is None else None
+    if inst._metric:
+        return
+    if gap is None:
         gap = max_metric_violation(inst)
-        raise MetricViolationError(
-            f"triangle inequality violated by up to {gap:.6g}; "
-            "apply metric_closure to repair")
+    raise MetricViolationError(
+        f"triangle inequality violated by up to {gap:.6g}; "
+        "apply metric_closure to repair")

@@ -133,6 +133,18 @@ def test_tsplib_euc2d_rounds_to_nearest_int():
     assert inst.cost[0, 2] == 1.0
 
 
+def test_tsplib_euc2d_rounding_that_breaks_the_triangle_is_rejected(tmp_path):
+    # 1.4 and 1.2 round to 1 each, but 2.6 rounds to 3: the instance keeps
+    # its coords, and its costs are not their Euclidean distances
+    path = tmp_path / "line.tsp"
+    path.write_text(EUC_TSP.replace("2 3 0", "2 1.4 0")
+                    .replace("3 3 4", "3 2.6 0"))
+    assert parse_tsplib(path.read_text()).coords is not None
+    with pytest.raises(MetricViolationError, match="violated by up to 1;"):
+        load_instance(path)
+    assert load_instance(path, metric_closure=True).cost[0, 2] == 2.0
+
+
 def test_tsplib_euc2d_zero_rounded_distance_names_both_nodes():
     # nodes 2 (3, 0) and 3 (3.3, 0.2) are 0.36 apart
     text = EUC_TSP.replace("3 3 4", "3 3.3 0.2")

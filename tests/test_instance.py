@@ -7,10 +7,12 @@ import pytest
 from hpppt import (Instance, InvalidInstanceError, InvalidPathError,
                    MetricViolationError, check_path, expected_cost_direct,
                    expected_cost_q, is_metric, is_solution_path,
-                   max_metric_violation, metric_closure, require_metric)
+                   max_metric_violation, metric_closure, require_metric,
+                   solve)
 from hpppt import instance as instance_mod
 from hpppt.bench import make_instance
 from hpppt.formats import load_instance, parse_hpt, save_instance
+from hpppt.instance import METRIC_REL_TOL, euclidean_costs
 from support import expected_cost_by_cases, random_instance
 
 TRI = Instance([[0, 1, 4], [1, 0, 2], [4, 2, 0]], [0.2, 0.5, 0.3], 0, "tri")
@@ -186,10 +188,9 @@ def test_non_metric_costs_are_allowed_at_construction():
         require_metric(TRI)
 
 
-def test_metric_verdict_is_computed_once_and_carried(tmp_path, monkeypatch):
-    """is_metric runs one Floyd-Warshall per instance and keeps the
-    verdict; load_instance leaves it set, restrict passes the parent's on,
-    and a pickled copy computes its own."""
+@pytest.fixture
+def relay_calls(monkeypatch):
+    """The sizes of the Floyd-Warshall runs made while the test runs."""
     calls = []
     relay = instance_mod._relay_costs
 
@@ -198,8 +199,18 @@ def test_metric_verdict_is_computed_once_and_carried(tmp_path, monkeypatch):
         return relay(cost)
 
     monkeypatch.setattr(instance_mod, "_relay_costs", counting_relay)
+    return calls
+
+
+def test_metric_verdict_is_computed_once_and_carried(tmp_path, relay_calls):
+    """is_metric runs one Floyd-Warshall per matrix instance and keeps the
+    verdict; load_instance leaves it set, restrict passes the parent's on,
+    and a pickled copy computes its own."""
+    calls = relay_calls
     tri = Instance(TRI.cost, TRI.prob, 0, "tri")
-    metric = make_instance(6, 0, 4)
+    # without coords a metric instance needs a Floyd-Warshall for its verdict
+    base = make_instance(6, 0, 4)
+    metric = Instance(base.cost, base.prob, 0, "six")
     for _ in range(3):
         assert not is_metric(tri)
         assert is_metric(metric)
@@ -217,6 +228,115 @@ def test_metric_verdict_is_computed_once_and_carried(tmp_path, monkeypatch):
     assert calls == [3, 6, 6, 6]
     assert is_metric(loaded)
     assert calls == [3, 6, 6, 6]
+
+
+def _old_euclidean_costs(coords):
+    delta = coords[:, None, :] - coords[None, :, :]
+    return np.sqrt((delta ** 2).sum(axis=2))
+
+
+def test_euclidean_costs_keep_the_bytes_of_the_summed_form():
+    rng = np.random.default_rng(11)
+    for scale in (1e-200, 1e-100, 1e-3, 1.0, 500.0, 1e100, 1e155, 1e200):
+        for n in (1, 2, 7, 40):
+            coords = rng.uniform(-scale, scale, (n, 2))
+            with np.errstate(over="ignore", under="ignore"):
+                old = _old_euclidean_costs(coords)
+                new = euclidean_costs(coords)
+            assert new.dtype == np.float64
+            assert new.tobytes() == old.tobytes()
+    # squares that overflow give inf in both forms
+    with np.errstate(over="ignore"):
+        assert np.isinf(euclidean_costs(np.array([[0.0, 0.0],
+                                                  [1e200, 0.0]]))[0, 1])
+
+
+def _coordinate_draws(rng):
+    """Planar point sets of four kinds at scales from 1e-100 to 1e100."""
+    for scale in (1e-100, 1e-50, 1e-20, 1e-3, 1.0, 500.0, 1e20, 1e50, 1e100):
+        for _ in range(60):
+            n = int(rng.integers(2, 13))
+            yield rng.uniform(0.0, 1.0, (n, 2)) * scale
+            t = np.sort(rng.uniform(0.0, 1.0, n))
+            a, b = rng.uniform(-1.0, 1.0, 2)
+            yield np.column_stack([t * a, t * b + 0.25]) * scale
+            base = rng.uniform(0.0, 1.0, 2)
+            near = base + np.arange(n)[:, None] * np.array([1e-9, -1e-9])
+            yield near * scale
+            cells = rng.choice(49, size=min(n, 49), replace=False)
+            yield np.column_stack([cells // 7, cells % 7]) * scale
+
+
+def test_euclidean_shortcut_agrees_with_floyd_warshall():
+    """The shortcut's True is what the tolerance test on one
+    Floyd-Warshall gives, and the violation stays inside is_metric's bound
+    of (n + 6) * 2**-53 times the largest cost."""
+    rng = np.random.default_rng(2026)
+    count = 0
+    for coords in _coordinate_draws(rng):
+        n = len(coords)
+        inst = Instance(euclidean_costs(coords), np.zeros(n), 0, "", coords)
+        assert instance_mod.has_euclidean_costs(inst)
+        top = float(np.max(inst.cost))
+        gap = max_metric_violation(inst)
+        assert gap <= (n + 6) * 2.0 ** -53 * top
+        assert is_metric(inst) == (gap <= METRIC_REL_TOL * max(1.0, top))
+        count += 1
+    assert count >= 2000
+
+
+def test_coordinate_instances_need_no_floyd_warshall(tmp_path, relay_calls):
+    inst = make_instance(9, 0, 3)
+    assert is_metric(inst)
+    assert is_metric(pickle.loads(pickle.dumps(inst)))
+    path = tmp_path / "nine.hpt"
+    save_instance(inst, path)
+    assert is_metric(load_instance(path))
+    rng = np.random.default_rng(5)
+    coords = rng.uniform(0.0, 5000.0, (1000, 2))
+    big = Instance(euclidean_costs(coords), rng.uniform(0.0, 0.9, 1000), 0,
+                   "big", coords)
+    path = tmp_path / "big.hpt"
+    save_instance(big, path)
+    assert "COORDS" in path.read_text()
+    assert is_metric(load_instance(path))
+    assert relay_calls == []
+
+
+def test_coords_that_do_not_give_the_costs_take_floyd_warshall(relay_calls):
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    # the coords say 2, the cost says 4: no shortcut, and not metric
+    inst = Instance([[0, 1, 4], [1, 0, 1], [4, 1, 0]], np.zeros(3), 0, "",
+                    coords)
+    assert not instance_mod.has_euclidean_costs(inst)
+    assert not is_metric(inst)
+    assert relay_calls == [3]
+
+
+def test_require_metric_runs_one_floyd_warshall(relay_calls):
+    tri = Instance(TRI.cost, TRI.prob, 0, "tri")
+    with pytest.raises(MetricViolationError) as err:
+        require_metric(tri)
+    assert str(err.value) == ("triangle inequality violated by up to 1; "
+                              "apply metric_closure to repair")
+    assert relay_calls == [3]
+    # a verdict already kept costs one more run, for the message alone
+    with pytest.raises(MetricViolationError, match="up to 1;"):
+        require_metric(tri)
+    assert relay_calls == [3, 3]
+
+
+def test_closure_carries_its_verdict(tmp_path, relay_calls):
+    path = tmp_path / "tri.hpt"
+    save_instance(TRI, path)
+    closed = load_instance(path, metric_closure=True)
+    assert relay_calls == [3]
+    assert solve(closed).status == "ok"
+    assert is_metric(closed)
+    assert relay_calls == [3]
+    # the carried verdict is the one a fresh copy computes
+    assert is_metric(pickle.loads(pickle.dumps(closed)))
+    assert relay_calls == [3, 3]
 
 
 def test_metric_closure_repairs_and_is_idempotent():
