@@ -209,8 +209,7 @@ def cmd_lifelong(args) -> int:
 
 
 def _demo_world(kind: str, seed: int):
-    world = forest_world(size=100, n_trees=90, seed=derive_seed(seed, 303),
-                         sensor_radius=10.0)
+    world = forest_world(size=100, n_trees=90, seed=derive_seed(seed, 303))
     if kind == "accurate":
         mean = world.truth.center(world.target)
     else:

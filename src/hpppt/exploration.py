@@ -12,19 +12,30 @@ disappears or the frontier set shifts substantially.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .baselines import blind_hpp_solve, greedy_solve
-from .grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, WorldModel,
-                   _json_number, extract_frontiers, grid_distances, reveal,
-                   shortest_path_cells, tree_path)
-from .instance import Instance, _integral
+from .grid import (FREE, OCCUPIED, RAY_STEP, RAYS, SENSOR_RADIUS, UNKNOWN,
+                   OccupancyGrid, WorldModel, _json_number, extract_frontiers,
+                   grid_distances, reveal, shortest_path_cells, tree_path)
+from .instance import PROB_CLAMP, Instance, _integral
 from .lifelong import PLANNERS
 from .solver import DEFAULT_TIME_LIMIT, SolverConfig, solve
 
-PROB_CLAMP = 1.0 - 1e-9
+# phi_u counts the Unknown cells within WINDOW cells of a frontier cell;
+# phi_g fans its rays over PHI_G_FOV about the robot-to-cell bearing
+WINDOW = 5
+PHI_G_FOV = math.pi / 2
+# the factor weights (w_u, w_g, w_o) of a prior that sets none
+PRIOR_WEIGHTS = (0.3, 0.2, 0.5)
+# a replan over more than VERTEX_CAP vertices plans with focal search
+VERTEX_CAP = 40
+FOCAL_EPS = 0.01
+# replan when the frontier count moves by more than this share of its
+# count at the last plan
+REPLAN_DELTA = 0.2
 # a phi_g array pass holds at most the samples of RAY_CHUNK cells' rays
 # marched over the whole range, whatever the block its live rays are in
 RAY_CHUNK = 8
@@ -37,7 +48,7 @@ class PriorField:
     densities are peak-normalized, so phi_o is 1 at a mean. Weights must
     not sum above 1 so the combined score stays a probability."""
     gaussians: tuple = ()
-    weights: tuple = (0.3, 0.2, 0.5)
+    weights: tuple = PRIOR_WEIGHTS
 
     def __post_init__(self):
         gs = []
@@ -81,7 +92,7 @@ class PriorField:
                 for g in gaussians):
             raise ValueError("prior gaussians must be a list of objects "
                              f"with a mean and a cov, got {gaussians!r}")
-        weights = cfg.get("weights", [0.3, 0.2, 0.5])
+        weights = cfg.get("weights", list(PRIOR_WEIGHTS))
         if not isinstance(weights, list):
             raise ValueError(f"prior weights must be a list, got {weights!r}")
         for key, value in [("weights", weights)] + [
@@ -120,38 +131,16 @@ class ClusterConfig:
 
 @dataclass(frozen=True)
 class ExploreConfig:
-    window: int = 5            # phi_u half-width, cells
-    phi_g_fov: float = math.pi / 2
-    rays: int = 180
-    ray_step: float = 0.5      # cells
-    cluster: ClusterConfig = field(default_factory=ClusterConfig)
     success_dist: float = 5.0  # meters
-    vertex_cap: int = 40       # above this, plan with the focal variant
-    focal_eps: float = 0.01
     max_steps: int = 20_000
-    replan_delta: float = 0.2
     plan_time_limit: float | None = DEFAULT_TIME_LIMIT
 
     def __post_init__(self):
-        _require(self, "window", _integral(self.window) and self.window >= 0,
-                 "must be a nonnegative integer")
-        _require(self, "phi_g_fov", 0 < self.phi_g_fov <= 2.0 * math.pi,
-                 "must lie in (0, 2*pi]")
-        _require(self, "rays", _integral(self.rays) and self.rays >= 1,
-                 "must be an integer of at least 1")
-        _require(self, "ray_step", self.ray_step > 0, "must be positive")
         _require(self, "success_dist", self.success_dist > 0,
                  "must be positive")
-        _require(self, "vertex_cap",
-                 _integral(self.vertex_cap) and self.vertex_cap >= 1,
-                 "must be an integer of at least 1")
-        _require(self, "focal_eps", self.focal_eps >= 0,
-                 "must be nonnegative")
         _require(self, "max_steps",
                  _integral(self.max_steps) and self.max_steps >= 0,
                  "must be a nonnegative integer")
-        _require(self, "replan_delta", self.replan_delta >= 0,
-                 "must be nonnegative")
         _require(self, "plan_time_limit",
                  self.plan_time_limit is None or self.plan_time_limit > 0,
                  "must be positive or None")
@@ -162,6 +151,10 @@ def _require(cfg, name: str, ok: bool, rule: str) -> None:
     if not ok:
         raise ValueError(f"{type(cfg).__name__}.{name} {rule}, "
                          f"got {getattr(cfg, name)!r}")
+
+
+# the mean-shift settings of every replan
+CLUSTER = ClusterConfig()
 
 
 def _cell_array(cells) -> np.ndarray:
@@ -183,7 +176,7 @@ def _phi_unknown_cells(labels: np.ndarray, cells: np.ndarray,
     return count / ((r1 - r0) * (c1 - c0))
 
 
-def phi_unknown(grid: OccupancyGrid, cell, window: int = 5) -> float:
+def phi_unknown(grid: OccupancyGrid, cell, window: int = WINDOW) -> float:
     """Unknown fraction of the (2w+1)^2 square around cell, clipped at the
     borders; the denominator counts only in-bounds cells."""
     return float(_phi_unknown_cells(grid.labels, _cell_array(cell),
@@ -267,8 +260,9 @@ def _phi_geometric_cells(labels: np.ndarray, cells: np.ndarray,
 
 
 def phi_geometric(grid: OccupancyGrid, cell, bearing: float,
-                  fov: float = math.pi / 2, rays: int = 180,
-                  ray_step: float = 0.5, max_range_cells: float = 20.0) -> float:
+                  fov: float = PHI_G_FOV, rays: int = RAYS,
+                  ray_step: float = RAY_STEP,
+                  max_range_cells: float = 20.0) -> float:
     """Fraction of rays from the cell, fanned over fov about bearing, that
     reach an Unknown cell before an Occupied one. Leaving the grid counts
     as reaching Unknown; running out of range counts as neither."""
@@ -304,22 +298,21 @@ def phi_object(prior: PriorField, grid: OccupancyGrid, cell) -> float:
 
 
 def assign_probability(grid: OccupancyGrid, frontiers, prior: PriorField,
-                       robot, cfg: ExploreConfig,
-                       sensor_radius_cells: float = 20.0) -> np.ndarray:
+                       robot, sensor_radius_cells: float) -> np.ndarray:
     """Probability for each frontier cell: w_u*phi_u + w_g*phi_g + w_o*phi_o,
-    clamped to [0, 1 - 1e-9]. phi_g rays leave the frontier cell along the
-    robot-to-cell bearing."""
+    clamped to [0, PROB_CLAMP]. phi_g rays leave the frontier cell along the
+    robot-to-cell bearing and reach sensor_radius_cells."""
     w_u, w_g, w_o = prior.weights
     cells = _cell_array(frontiers)
     out = np.zeros(len(cells))
     if w_u:
-        out += w_u * _phi_unknown_cells(grid.labels, cells, cfg.window)
+        out += w_u * _phi_unknown_cells(grid.labels, cells, WINDOW)
     if w_g:
         bearings = np.array([math.atan2(r - robot[0], c - robot[1])
                              for r, c in cells.tolist()], dtype=np.float64)
         out += w_g * _phi_geometric_cells(grid.labels, cells, bearings,
-                                          cfg.phi_g_fov, cfg.rays,
-                                          cfg.ray_step, sensor_radius_cells)
+                                          PHI_G_FOV, RAYS, RAY_STEP,
+                                          sensor_radius_cells)
     if w_o:
         out += w_o * np.array(_phi_object_cells(prior, grid, cells))
     return np.clip(out, 0.0, PROB_CLAMP)
@@ -467,7 +460,7 @@ def _plan_goal(inst: Instance, vertex_cells, planner: str,
     elif planner == "blind":
         res = blind_hpp_solve(inst, score=False)
     else:
-        eps = cfg.focal_eps if inst.n > cfg.vertex_cap else 0.0
+        eps = FOCAL_EPS if inst.n > VERTEX_CAP else 0.0
         res = solve(inst, SolverConfig(epsilon=eps,
                                        time_limit=cfg.plan_time_limit),
                     first_move=True)
@@ -537,7 +530,7 @@ def _nearest_frontier(tree, frontiers):
 
 
 def run_exploration(world: WorldModel, prior: PriorField, planner: str,
-                    cfg: ExploreConfig | None = None, seed: int = 0,
+                    cfg: ExploreConfig = ExploreConfig(), seed: int = 0,
                     name: str = "") -> ExploreLog:
     """Explore until the robot is within success_dist of the target with
     the target cell revealed, the reachable map is exhausted, or the step
@@ -549,13 +542,11 @@ def run_exploration(world: WorldModel, prior: PriorField, planner: str,
     nearest-frontier fallback and the path to the goal."""
     if planner not in PLANNERS:
         raise ValueError(f"unknown planner {planner!r}")
-    if cfg is None:
-        cfg = ExploreConfig()
     grid = OccupancyGrid.all_unknown(world.truth.shape, world.truth.resolution)
     robot = tuple(world.robot)
     res = grid.resolution
     radius_cells = world.sensor_radius / res
-    revealed = reveal(grid, world, robot, cfg.rays, cfg.ray_step)
+    revealed = reveal(grid, world, robot)
     t = 0.0
     steps: list = []
     status = "truncated"
@@ -586,16 +577,16 @@ def run_exploration(world: WorldModel, prior: PriorField, planner: str,
         # means goal is set, differs from robot and fcount_at_plan > 0
         need_replan = (
             not path
-            or not _goal_alive(frontiers, goal, cfg.cluster.merge_dist)
-            or abs(fcount - fcount_at_plan) > cfg.replan_delta * fcount_at_plan
+            or not _goal_alive(frontiers, goal, CLUSTER.merge_dist)
+            or abs(fcount - fcount_at_plan) > REPLAN_DELTA * fcount_at_plan
         )
         replanned = False
         if need_replan:
             replanned = True
             fcount_at_plan = fcount
-            probs = assign_probability(grid, frontiers, prior, robot, cfg,
+            probs = assign_probability(grid, frontiers, prior, robot,
                                        radius_cells)
-            goals = cluster_goals(grid, frontiers, probs, cfg.cluster)
+            goals = cluster_goals(grid, frontiers, probs, CLUSTER)
             clusters_n = len(goals)
             inst, cells, _dropped, tree = build_search_graph(grid, goals,
                                                              robot)
@@ -615,7 +606,7 @@ def run_exploration(world: WorldModel, prior: PriorField, planner: str,
             path = path[1:]
         robot = path.pop(0)
         t += res
-        revealed += reveal(grid, world, robot, cfg.rays, cfg.ray_step)
+        revealed += reveal(grid, world, robot)
         frontiers = extract_frontiers(grid)
         steps.append(ExploreStep(len(steps) + 1, t, robot, revealed,
                                  len(frontiers), clusters_n, replanned))
@@ -625,7 +616,8 @@ def run_exploration(world: WorldModel, prior: PriorField, planner: str,
 
 
 def forest_world(size: int = 100, n_trees: int = 90, seed: int = 0,
-                 resolution: float = 1.0, sensor_radius: float = 10.0,
+                 resolution: float = 1.0,
+                 sensor_radius: float = SENSOR_RADIUS,
                  target=None, robot=None) -> WorldModel:
     """Random forest benchmark world: solid border walls, square tree
     blobs, target and robot on free cells with a guaranteed free path

@@ -10,6 +10,9 @@ Native format, whitespace separated, '#' starts a comment:
     COORDS                (followed by n lines "x y")
     MATRIX FULL           (alternative: followed by n rows of n reals)
 
+Each record appears once, COORDS and MATRIX not both, and a record line
+holds nothing past its value.
+
 Reals are written with repr, the shortest form that round-trips exactly.
 """
 
@@ -77,81 +80,76 @@ def _floats(tokens, lineno, what):
     return out
 
 
+# each record, with the number of tokens its line holds; a PROB line holds
+# as many reals as fit, and the next lines go on with them
+_RECORDS = {"NAME": 2, "N": 2, "START": 2, "SEED": 2, "PROB": None,
+            "COORDS": 1, "MATRIX": 2}
+
+
+def _reals(lines, i, vals, count, what, noun):
+    """vals, extended by the reals of the lines after lines[i] up to the
+    next record until it holds count, and the index of the last line read.
+    """
+    lineno = lines[i][0]
+    while (len(vals) < count and i + 1 < len(lines)
+           and lines[i + 1][1][0].upper() not in _RECORDS):
+        i += 1
+        vals.extend(_floats(lines[i][1], lines[i][0], what))
+    if len(vals) != count:
+        raise FormatError(
+            f"line {lineno}: expected {count} {noun}, got {len(vals)}")
+    return vals, i
+
+
 def parse_hpt(text: str) -> Instance:
     name = ""
-    n = None
-    start = None
-    seed = None
+    ints = {}  # N, START and SEED
     prob = None
     coords = None
     matrix = None
+    first = {}  # the line of each record, COORDS and MATRIX as one
     lines = list(_content_lines(text))
     i = 0
     while i < len(lines):
         lineno, toks = lines[i]
         key = toks[0].upper()
+        if key not in _RECORDS:
+            raise FormatError(f"line {lineno}: unknown record {toks[0]!r}")
+        slot = "COORDS or MATRIX" if key in ("COORDS", "MATRIX") else key
+        if slot in first:
+            raise FormatError(f"line {lineno}: a second {slot} record, "
+                              f"after line {first[slot]}")
+        first[slot] = lineno
+        keep = _RECORDS[key]
+        if keep and len(toks) > keep:
+            extra = " ".join(toks[keep:])
+            raise FormatError(f"line {lineno}: unexpected {extra!r} after "
+                              f"{' '.join(toks[:keep])}")
+        n = ints.get("N")
+        if n is None and key in ("PROB", "COORDS", "MATRIX"):
+            raise FormatError(f"line {lineno}: {key} before N")
         if key == "NAME":
             name = toks[1] if len(toks) > 1 else ""
-        elif key == "N":
+        elif key in ("N", "START", "SEED"):
             try:
-                n = int(toks[1])
+                ints[key] = int(toks[1])
             except (IndexError, ValueError):
-                raise FormatError(f"line {lineno}: bad N record") from None
-        elif key == "START":
-            try:
-                start = int(toks[1])
-            except (IndexError, ValueError):
-                raise FormatError(f"line {lineno}: bad START record") from None
-        elif key == "SEED":
-            try:
-                seed = int(toks[1])
-            except (IndexError, ValueError):
-                raise FormatError(f"line {lineno}: bad SEED record") from None
+                raise FormatError(f"line {lineno}: bad {key} record") from None
         elif key == "PROB":
-            if n is None:
-                raise FormatError(f"line {lineno}: PROB before N")
             prob = _floats(toks[1:], lineno, "probability")
-            while len(prob) < n and i + 1 < len(lines):
-                lineno2, more = lines[i + 1]
-                if more[0].upper() in ("COORDS", "MATRIX", "NAME", "N",
-                                       "START", "SEED"):
-                    break
-                prob.extend(_floats(more, lineno2, "probability"))
-                i += 1
-            if len(prob) != n:
-                raise FormatError(
-                    f"line {lineno}: expected {n} probabilities, got {len(prob)}")
+            prob, i = _reals(lines, i, prob, n, "probability", "probabilities")
         elif key == "COORDS":
-            if n is None:
-                raise FormatError(f"line {lineno}: COORDS before N")
-            vals = []
-            while len(vals) < 2 * n and i + 1 < len(lines):
-                lineno2, more = lines[i + 1]
-                vals.extend(_floats(more, lineno2, "coordinate"))
-                i += 1
-            if len(vals) != 2 * n:
-                raise FormatError(
-                    f"line {lineno}: expected {2 * n} coordinate values, "
-                    f"got {len(vals)}")
+            vals, i = _reals(lines, i, [], 2 * n, "coordinate",
+                             "coordinate values")
             coords = np.array(vals, dtype=np.float64).reshape(n, 2)
-        elif key == "MATRIX":
-            if n is None:
-                raise FormatError(f"line {lineno}: MATRIX before N")
+        else:
             if len(toks) < 2 or toks[1].upper() != "FULL":
                 raise FormatError(f"line {lineno}: only MATRIX FULL is defined")
-            vals = []
-            while len(vals) < n * n and i + 1 < len(lines):
-                lineno2, more = lines[i + 1]
-                vals.extend(_floats(more, lineno2, "cost"))
-                i += 1
-            if len(vals) != n * n:
-                raise FormatError(
-                    f"line {lineno}: expected {n * n} matrix values, "
-                    f"got {len(vals)}")
+            vals, i = _reals(lines, i, [], n * n, "cost", "matrix values")
             matrix = np.array(vals, dtype=np.float64).reshape(n, n)
-        else:
-            raise FormatError(f"line {lineno}: unknown record {toks[0]!r}")
         i += 1
+    n = ints.get("N")
+    start = ints.get("START")
     if n is None:
         raise FormatError("missing N record")
     if start is None:
@@ -164,7 +162,7 @@ def parse_hpt(text: str) -> Instance:
         cost = matrix
     else:
         raise FormatError("missing COORDS or MATRIX section")
-    return Instance(cost, prob, start, name, coords, seed)
+    return Instance(cost, prob, start, name, coords, ints.get("SEED"))
 
 
 def _tsplib_nint(x: float) -> float:

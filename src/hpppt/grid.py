@@ -6,6 +6,7 @@ from Unknown to Free or Occupied (monotone reveal). Reads outside the
 grid return Unknown.
 """
 
+import functools
 import json
 import math
 import sys
@@ -15,6 +16,11 @@ import numpy as np
 
 UNKNOWN, FREE, OCCUPIED = 0, 1, 2
 _CHARS = {".": FREE, "#": OCCUPIED, "T": FREE, "R": FREE}
+SENSOR_RADIUS = 10.0  # meters, unless a world sets its own
+# rays fanned from a cell, and the spacing of the samples along each, in
+# cells: for the sensor's reveal and for exploration's phi_g score
+RAYS = 180
+RAY_STEP = 0.5
 
 
 class WorldFormatError(ValueError):
@@ -61,7 +67,7 @@ class WorldModel:
     truth: OccupancyGrid
     target: tuple
     robot: tuple
-    sensor_radius: float = 10.0  # meters
+    sensor_radius: float = SENSOR_RADIUS  # meters
 
     def __post_init__(self):
         labels = self.truth.labels
@@ -152,7 +158,7 @@ def load_world(map_path, config_path=None):
         truth=OccupancyGrid(labels, _sidecar_number(cfg, "resolution", 1.0)),
         target=target,
         robot=robot,
-        sensor_radius=_sidecar_number(cfg, "sensor_radius", 10.0),
+        sensor_radius=_sidecar_number(cfg, "sensor_radius", SENSOR_RADIUS),
     )
     return world, cfg
 
@@ -197,35 +203,26 @@ def extract_frontiers(grid: OccupancyGrid) -> list:
     return list(map(tuple, np.argwhere(mask).tolist()))
 
 
-_ray_cache: dict = {}
-
-
-def _ray_offsets(radius_cells: float, rays: int, step: float):
-    """Sample offsets for rays fanned over a full circle: (rays, samples, 2)
+@functools.lru_cache(maxsize=None)
+def _ray_offsets(radius_cells: float):
+    """Sample offsets for rays fanned over a full circle: (RAYS, samples, 2)
     float offsets from the origin cell center, in cell units."""
-    key = (round(radius_cells, 6), rays, round(step, 6))
-    hit = _ray_cache.get(key)
-    if hit is not None:
-        return hit
-    nsteps = max(1, int(math.ceil(radius_cells / step)))
-    dist = (np.arange(1, nsteps + 1) * step).clip(max=radius_cells)
-    ang = np.arange(rays) * (2.0 * math.pi / rays)
+    nsteps = max(1, int(math.ceil(radius_cells / RAY_STEP)))
+    dist = (np.arange(1, nsteps + 1) * RAY_STEP).clip(max=radius_cells)
+    ang = np.arange(RAYS) * (2.0 * math.pi / RAYS)
     dx = np.cos(ang)[:, None] * dist[None, :]
     dy = np.sin(ang)[:, None] * dist[None, :]
-    out = np.stack([dy, dx], axis=2)  # (rays, samples, (dr, dc))
-    _ray_cache[key] = out
-    return out
+    return np.stack([dy, dx], axis=2)  # (rays, samples, (dr, dc))
 
 
-def reveal(grid: OccupancyGrid, world: WorldModel, robot, rays: int = 180,
-           ray_step: float = 0.5) -> int:
+def reveal(grid: OccupancyGrid, world: WorldModel, robot) -> int:
     """Copy ground-truth labels into the grid along rays from the robot,
     full circle, out to the sensor radius. Occupied cells occlude: the
     wall itself is revealed, nothing beyond it. Returns how many cells
     became known."""
     res = grid.resolution
     radius_cells = world.sensor_radius / res
-    offsets = _ray_offsets(radius_cells, rays, ray_step)
+    offsets = _ray_offsets(radius_cells)
     h, w = grid.labels.shape
     rr = np.floor(robot[0] + 0.5 + offsets[:, :, 0]).astype(np.intp)
     cc = np.floor(robot[1] + 0.5 + offsets[:, :, 1]).astype(np.intp)

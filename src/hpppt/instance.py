@@ -11,6 +11,8 @@ import numbers
 import numpy as np
 
 METRIC_REL_TOL = 1e-9
+# the largest probability a planner hands to Instance, which rejects 1
+PROB_CLAMP = 1.0 - 1e-9
 
 
 class InvalidInstanceError(ValueError):

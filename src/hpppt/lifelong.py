@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import blind_hpp_solve, greedy_solve
-from .instance import Instance, _integral
+from .instance import PROB_CLAMP, Instance, _integral
 from .solver import SolverConfig, solve
 
-BELIEF_CLAMP = 1.0 - 1e-9
 PLANNERS = ("rpt", "greedy", "blind")
 # unbounded: a timed-out replan would silently take the fallback
 REPLAN_CONFIG = SolverConfig(time_limit=None)
@@ -180,7 +179,7 @@ def plan_next(inst: Instance, beliefs, surviving, current: int,
         return current
     verts = np.array([current] + others)
     # beliefs are never negative, so only the upper clamp can act
-    sub_prob = np.minimum(np.asarray(beliefs)[verts], BELIEF_CLAMP)
+    sub_prob = np.minimum(np.asarray(beliefs)[verts], PROB_CLAMP)
     if current not in surviving:
         sub_prob[0] = 0.0
     sub = inst.restrict(verts, sub_prob, "replan")

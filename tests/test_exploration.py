@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,16 +8,18 @@ import numpy as np
 import pytest
 
 import hpppt.exploration
-from hpppt.exploration import (ClusterConfig, ExploreConfig, GoalCluster,
-                               PriorField, _phi_geometric_cells, _plan_goal,
-                               assign_probability,
+import hpppt.lifelong
+from hpppt.exploration import (PRIOR_WEIGHTS, ClusterConfig, ExploreConfig,
+                               GoalCluster, PriorField, _phi_geometric_cells,
+                               _plan_goal, assign_probability,
                                build_search_graph, cluster_goals,
                                forest_world, mean_shift, phi_geometric,
                                phi_object, phi_unknown, run_exploration,
                                sample_start, with_start)
-from hpppt.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, WorldModel,
-                        extract_frontiers, parse_world, reveal,
+from hpppt.grid import (FREE, OCCUPIED, SENSOR_RADIUS, UNKNOWN, OccupancyGrid,
+                        WorldModel, extract_frontiers, parse_world, reveal,
                         shortest_path_cells, tree_path)
+from hpppt.instance import PROB_CLAMP, Instance
 from hpppt.solver import SolveResult
 
 PRIOR = PriorField()
@@ -112,12 +115,12 @@ def test_assign_probability_clamps_and_weights():
     cell = (10, 10)
     prior = PriorField(gaussians=((g.center(cell), ((1, 0), (0, 1))),),
                        weights=(0.3, 0.2, 0.5))
-    p = assign_probability(g, [cell], prior, (10, 9), ExploreConfig())
+    p = assign_probability(g, [cell], prior, (10, 9), 20.0)
     assert p.shape == (1,)
     assert 0.9 < p[0] <= 1.0 - 1e-9
 
     zero = PriorField(weights=(0.0, 0.0, 0.0))
-    pz = assign_probability(g, [cell], zero, (10, 9), ExploreConfig())
+    pz = assign_probability(g, [cell], zero, (10, 9), 20.0)
     assert pz[0] == 0.0
 
 
@@ -232,12 +235,14 @@ def test_rpt_replans_ask_only_for_the_first_move(monkeypatch):
 
 
 @pytest.mark.parametrize("cfg, eps, limit", [
-    # vertex_cap 1 sends every replan to the focal variant
-    (ExploreConfig(max_steps=40, vertex_cap=1, focal_eps=0.25,
-                   plan_time_limit=7.0), 0.25, 7.0),
+    # a vertex cap of 1 sends every replan to the focal variant
+    (ExploreConfig(max_steps=40, plan_time_limit=7.0), 0.25, 7.0),
     (ExploreConfig(max_steps=40), 0.0, 60.0),
 ])
 def test_rpt_replans_use_the_planner_settings(monkeypatch, cfg, eps, limit):
+    if eps:
+        monkeypatch.setattr(hpppt.exploration, "VERTEX_CAP", 1)
+        monkeypatch.setattr(hpppt.exploration, "FOCAL_EPS", eps)
     real_solve = hpppt.exploration.solve
     calls = []
 
@@ -345,27 +350,11 @@ def test_exploration_frontier_counts_logged():
 
 
 @pytest.mark.parametrize("cls, name, value", [
-    (ExploreConfig, "window", -1),
-    (ExploreConfig, "window", 1.5),
-    (ExploreConfig, "window", False),
-    (ExploreConfig, "phi_g_fov", 0.0),
-    (ExploreConfig, "phi_g_fov", 2.0 * math.pi + 1e-9),
-    (ExploreConfig, "phi_g_fov", float("nan")),
-    (ExploreConfig, "rays", 0),
-    (ExploreConfig, "rays", 2.5),
-    (ExploreConfig, "rays", 180.0),
-    (ExploreConfig, "rays", True),
-    (ExploreConfig, "ray_step", 0.0),
     (ExploreConfig, "success_dist", 0.0),
-    (ExploreConfig, "vertex_cap", 0),
-    (ExploreConfig, "vertex_cap", 40.5),
-    (ExploreConfig, "vertex_cap", True),
-    (ExploreConfig, "focal_eps", -0.01),
     (ExploreConfig, "max_steps", -1),
     (ExploreConfig, "max_steps", 2.5),
     (ExploreConfig, "max_steps", float("nan")),
     (ExploreConfig, "max_steps", True),
-    (ExploreConfig, "replan_delta", -0.1),
     (ExploreConfig, "plan_time_limit", 0.0),
     (ClusterConfig, "bandwidth", 0.0),
     (ClusterConfig, "converge_tol", -1.0),
@@ -382,13 +371,31 @@ def test_config_rejects_values_that_cannot_take_effect(cls, name, value):
 
 def test_config_accepts_boundary_values():
     ClusterConfig(merge_dist=0.0)
-    ExploreConfig(window=0, phi_g_fov=2.0 * math.pi, rays=1, max_steps=0,
-                  focal_eps=0.0, replan_delta=0.0, vertex_cap=1,
-                  plan_time_limit=None)
+    ExploreConfig(max_steps=0, plan_time_limit=None)
     # numpy integers count as integers
     ClusterConfig(max_iter=np.int64(1))
-    ExploreConfig(window=np.int32(0), rays=np.int64(1),
-                  vertex_cap=np.uint8(1), max_steps=np.int64(0))
+    ExploreConfig(max_steps=np.int64(0))
+
+
+def test_explore_config_holds_only_the_settings_callers_set():
+    names = [f.name for f in dataclasses.fields(ExploreConfig)]
+    assert sorted(names) == ["max_steps", "plan_time_limit", "success_dist"]
+    with pytest.raises(TypeError):
+        ExploreConfig(vertex_cap=1)
+
+
+def test_exploration_defaults_read_one_name_each():
+    assert SENSOR_RADIUS == 10.0
+    assert _world(CORRIDOR).sensor_radius == SENSOR_RADIUS
+    assert forest_world(size=20, n_trees=0).sensor_radius == SENSOR_RADIUS
+    assert PRIOR_WEIGHTS == (0.3, 0.2, 0.5)
+    assert PriorField().weights == PRIOR_WEIGHTS
+    assert PriorField.from_config({}).weights == PRIOR_WEIGHTS
+    # missions and exploration share one clamp, which Instance accepts
+    assert PROB_CLAMP == 1.0 - 1e-9
+    assert hpppt.lifelong.PROB_CLAMP is hpppt.exploration.PROB_CLAMP
+    assert hpppt.exploration.PROB_CLAMP is PROB_CLAMP
+    Instance([[0.0, 1.0], [1.0, 0.0]], [0.0, PROB_CLAMP])
 
 
 # The references below are the broadcast and per-cell forms that
@@ -452,17 +459,20 @@ def _ref_phi_object(prior, grid, cell):
     return best
 
 
-def _reference_probability(grid, cells, prior, robot, cfg, radius):
+def _reference_probability(grid, cells, prior, robot, radius):
+    """The scores at the exploration module's WINDOW, PHI_G_FOV, RAYS and
+    RAY_STEP, as they stand when called."""
+    m = hpppt.exploration
     w_u, w_g, w_o = prior.weights
     out = []
     for cell in cells:
         bearing = math.atan2(cell[0] - robot[0], cell[1] - robot[1])
         p = 0.0
         if w_u:
-            p += w_u * _ref_phi_unknown(grid, cell, cfg.window)
+            p += w_u * _ref_phi_unknown(grid, cell, m.WINDOW)
         if w_g:
-            p += w_g * _ref_phi_geometric(grid, cell, bearing, cfg.phi_g_fov,
-                                          cfg.rays, cfg.ray_step, radius)
+            p += w_g * _ref_phi_geometric(grid, cell, bearing, m.PHI_G_FOV,
+                                          m.RAYS, m.RAY_STEP, radius)
         if w_o:
             p += w_o * _ref_phi_object(prior, grid, cell)
         out.append(p)
@@ -496,21 +506,25 @@ TWO_GAUSSIANS = PriorField(
     weights=(0.3, 0.3, 0.4))
 
 
+# each cfg sets module constants for the run; {} keeps the values in use
 @pytest.mark.parametrize("prior", ["empty", "a11", "two"])
 @pytest.mark.parametrize("cfg", [
-    ExploreConfig(),
-    ExploreConfig(rays=1),
-    ExploreConfig(window=0, rays=7, ray_step=0.3, phi_g_fov=2.0 * math.pi),
+    {},
+    {"RAYS": 1},
+    {"WINDOW": 0, "RAYS": 7, "RAY_STEP": 0.3, "PHI_G_FOV": 2.0 * math.pi},
 ])
-def test_assign_probability_equals_per_cell_reference(prior, cfg):
+def test_assign_probability_equals_per_cell_reference(monkeypatch, prior,
+                                                      cfg):
+    for name, value in cfg.items():
+        monkeypatch.setattr(hpppt.exploration, name, value)
     world, grid, robot = _partly_revealed_forest()
     prior = {"empty": PriorField(), "a11": _a11_prior(world, "accurate"),
              "two": TWO_GAUSSIANS}[prior]
     border = [(0, 0), (0, 57), (99, 99), (50, 0), (98, 1), (1, 98)]
     cells = extract_frontiers(grid) + border
     assert len(cells) > 100
-    got = assign_probability(grid, cells, prior, robot, cfg, 10.0)
-    want = _reference_probability(grid, cells, prior, robot, cfg, 10.0)
+    got = assign_probability(grid, cells, prior, robot, 10.0)
+    want = _reference_probability(grid, cells, prior, robot, 10.0)
     assert got.tolist() == want.tolist()
 
 
@@ -542,7 +556,7 @@ def test_mean_shift_equals_broadcast_reference(bandwidth, weights):
     pts = np.asarray(cells, dtype=np.float64)
     if weights == "probs":
         w = assign_probability(grid, cells, _a11_prior(world, "accurate"),
-                               robot, ExploreConfig(), 10.0)
+                               robot, 10.0)
     else:
         w = np.zeros(len(pts))
     cfg = ClusterConfig(bandwidth=bandwidth)
@@ -595,7 +609,7 @@ def test_cluster_goals_equals_pairwise_anchor_reference(merge_dist):
     world, grid, robot = _partly_revealed_forest()
     cells = extract_frontiers(grid)
     probs = assign_probability(grid, cells, _a11_prior(world, "accurate"),
-                               robot, ExploreConfig(), 10.0)
+                               robot, 10.0)
     cfg = ClusterConfig(bandwidth=3.0, merge_dist=merge_dist)
     assert cluster_goals(grid, cells, probs, cfg) == (
         _reference_cluster_goals(grid, cells, probs, cfg))

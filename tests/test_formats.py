@@ -66,6 +66,49 @@ def test_parse_errors_name_the_line():
         parse_hpt("N 3\nSTART 0\nPROB 0.1 0.2\nMATRIX FULL\n" + "0 " * 9)
 
 
+HEAD = ["NAME tri", "N 3", "START 0", "SEED 5", "PROB 0.2 0.5 0.3"]
+COORDS = ["COORDS", "0 0", "3 0", "3 4"]
+MATRIX = ["MATRIX FULL", "0 3 5", "3 0 4", "5 4 0"]
+ONE_SECTION = "a second COORDS or MATRIX record, after line 6"
+
+
+@pytest.mark.parametrize("lines, error", [
+    # COORDS and MATRIX both: the second section would be dropped
+    (HEAD + COORDS + MATRIX, f"line 10: {ONE_SECTION}"),
+    (HEAD + MATRIX + COORDS, f"line 10: {ONE_SECTION}"),
+    (HEAD + COORDS + COORDS, f"line 10: {ONE_SECTION}"),
+    # a second record would override the first
+    (HEAD[:2] + ["N 4"] + HEAD[2:] + COORDS,
+     "line 3: a second N record, after line 2"),
+    (HEAD + COORDS + ["NAME other"],
+     "line 10: a second NAME record, after line 1"),
+    (HEAD + COORDS + ["START 1"],
+     "line 10: a second START record, after line 3"),
+    (HEAD + COORDS + ["SEED 5"],
+     "line 10: a second SEED record, after line 4"),
+    (HEAD + COORDS + ["PROB 0.1 0.1 0.1"],
+     "line 10: a second PROB record, after line 5"),
+    # tokens past a record's value would be ignored
+    (["NAME my inst"] + HEAD[1:] + COORDS,
+     "line 1: unexpected 'inst' after NAME my"),
+    (HEAD[:1] + ["N 3 7"] + HEAD[2:] + COORDS,
+     "line 2: unexpected '7' after N 3"),
+    (HEAD[:2] + ["START 0 1"] + HEAD[3:] + COORDS,
+     "line 3: unexpected '1' after START 0"),
+    (HEAD[:3] + ["SEED 5 6 7"] + HEAD[4:] + COORDS,
+     "line 4: unexpected '6 7' after SEED 5"),
+    (HEAD + ["COORDS 3"] + COORDS[1:],
+     "line 6: unexpected '3' after COORDS"),
+    (HEAD + ["MATRIX FULL 3"] + MATRIX[1:],
+     "line 6: unexpected '3' after MATRIX FULL"),
+], ids=["coords-matrix", "matrix-coords", "coords-coords", "N", "NAME",
+        "START", "SEED", "PROB", "NAME-tokens", "N-tokens", "START-tokens",
+        "SEED-tokens", "COORDS-tokens", "MATRIX-tokens"])
+def test_records_that_take_no_effect_are_rejected(lines, error):
+    with pytest.raises(FormatError, match=f"^{error}"):
+        parse_hpt("\n".join(lines) + "\n")
+
+
 def test_save_and_load(tmp_path):
     inst = assign_probabilities(generate_random(6, seed=7), seed=8)
     path = tmp_path / "six.hpt"

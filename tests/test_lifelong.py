@@ -10,7 +10,8 @@ from hpppt import (DegenerateUpdateError, GroundTruth, Instance,
 from hpppt.generate import assign_probabilities
 import hpppt.lifelong
 from hpppt.baselines import blind_hpp_solve, greedy_solve
-from hpppt.lifelong import BELIEF_CLAMP, plan_next
+from hpppt.instance import PROB_CLAMP
+from hpppt.lifelong import plan_next
 from hpppt.solver import SolveResult, SolverConfig, solve
 
 SENSOR = SensorModel(0.8, 0.4)
@@ -205,7 +206,7 @@ def _rebuilt_plan_next(cost, beliefs, surviving, current, planner):
         return current
     verts = [current] + others
     idx = np.array(verts)
-    sub_prob = np.clip(np.asarray(beliefs)[idx], 0.0, BELIEF_CLAMP)
+    sub_prob = np.clip(np.asarray(beliefs)[idx], 0.0, PROB_CLAMP)
     if current not in surviving:
         sub_prob[0] = 0.0
     sub = Instance(cost[idx[:, None], idx], sub_prob, 0, "replan")
@@ -225,9 +226,9 @@ def test_plan_next_matches_rebuilt_instance_reference():
             n = int(rng.integers(2, 13))
             inst = _mission_instance(n, seed=int(rng.integers(1 << 30)))
             beliefs = rng.uniform(0.0, 1.0, n)
-            # a belief of exactly 0, 1 or BELIEF_CLAMP sits on an edge of the
+            # a belief of exactly 0, 1 or PROB_CLAMP sits on an edge of the
             # clamp
-            beliefs[rng.integers(n)] = rng.choice([0.0, 1.0, BELIEF_CLAMP])
+            beliefs[rng.integers(n)] = rng.choice([0.0, 1.0, PROB_CLAMP])
             surviving = {v for v in range(n) if rng.random() < 0.7}
             current = int(rng.integers(n))
             if trial % 2:

@@ -63,9 +63,28 @@ def test_missions_record_solver_and_baseline_spans():
     assert hpppt.lifelong.solve is hpppt.solver.solve
 
 
-def test_exploration_records_every_layer_and_one_tree_per_replan():
+def test_exploration_records_every_layer_and_one_tree_per_replan(
+        monkeypatch):
     spans = _load_spans()
     tracer = spans.Tracer(_modules(spans))
+    # the cells scored and the goals returned, seen from inside the package
+    # without the tracer's reading of the arguments
+    scored, returned = [], []
+    assign = hpppt.exploration.assign_probability
+    cluster = hpppt.exploration.cluster_goals
+
+    def scoring(*args, **kwargs):
+        out = assign(*args, **kwargs)
+        scored.append(len(out))
+        return out
+
+    def clustering(*args, **kwargs):
+        out = cluster(*args, **kwargs)
+        returned.append(len(out))
+        return out
+
+    monkeypatch.setattr(hpppt.exploration, "assign_probability", scoring)
+    monkeypatch.setattr(hpppt.exploration, "cluster_goals", clustering)
     forest = forest_world(size=40, n_trees=20, seed=1)
     # a sealed corridor, where a replan whose clusters merge onto the
     # robot's own cell takes the nearest-frontier fallback
@@ -89,4 +108,7 @@ def test_exploration_records_every_layer_and_one_tree_per_replan():
         assert totals.get(name, (0,))[0] > 0, name
     replans = totals["exploration.assign_probability"][0]
     assert totals["grid.grid_distances"][0] == replans
+    assert len(scored) == replans
+    assert tracer.counts["exploration.frontier_cells"] == sum(scored) > 0
+    assert tracer.counts["exploration.goals"] == sum(returned) > 0
     assert hpppt.exploration.grid_distances is hpppt.grid.grid_distances
