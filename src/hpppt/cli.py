@@ -94,6 +94,7 @@ def cmd_solve(args) -> int:
         "peak_open": res.stats.peak_open,
         "root_bound": res.stats.root_bound,
         "upper_bound": res.stats.upper_bound,
+        "trees": res.stats.trees,
         "wall_time": round(res.stats.wall_time, 6),
     }
     _emit(json.dumps(record) + "\n", args.out)

@@ -262,10 +262,13 @@ def _phi_geometric_cells(labels: np.ndarray, cells: np.ndarray,
 def phi_geometric(grid: OccupancyGrid, cell, bearing: float,
                   fov: float = PHI_G_FOV, rays: int = RAYS,
                   ray_step: float = RAY_STEP,
-                  max_range_cells: float = 20.0) -> float:
+                  max_range_cells: float | None = None) -> float:
     """Fraction of rays from the cell, fanned over fov about bearing, that
     reach an Unknown cell before an Occupied one. Leaving the grid counts
-    as reaching Unknown; running out of range counts as neither."""
+    as reaching Unknown; running out of range counts as neither. The range
+    defaults to SENSOR_RADIUS in cells, as exploration scores with."""
+    if max_range_cells is None:
+        max_range_cells = SENSOR_RADIUS / grid.resolution
     return float(_phi_geometric_cells(
         grid.labels, _cell_array(cell), np.array([bearing], dtype=np.float64),
         fov, rays, ray_step, max_range_cells)[0])

@@ -11,8 +11,9 @@ Each step replans a full visiting order over the surviving vertices from
 the robot's position, with the current beliefs standing in for the
 termination probabilities. A replan restricts the mission instance to
 those vertices (`Instance.restrict`), so the costs validated once per
-mission are not checked again at every step. Accumulated edge cost is the
-duration proxy.
+mission are not checked again at every step. The blind baseline reads
+no beliefs, so a mission plans it once per robot position and surviving
+set and reuses that move. Accumulated edge cost is the duration proxy.
 Observation draws come from a counter-based stream seeded by
 (seed, step index), so the planner choice never shifts the noise.
 """
@@ -211,6 +212,7 @@ def run_mission(inst: Instance, truth: GroundTruth, sensor: SensorModel,
     t = 0.0
     steps: list = []
     status = "complete"
+    blind_moves: dict = {}
 
     while True:
         step_no = len(steps) + 1
@@ -235,7 +237,14 @@ def run_mission(inst: Instance, truth: GroundTruth, sensor: SensorModel,
         if step_no >= cfg.max_steps:
             status = "truncated"
             break
-        nxt = plan_next(inst, beliefs, surviving, current, cfg.planner)
+        if cfg.planner == "blind":
+            key = (current, frozenset(surviving))
+            nxt = blind_moves.get(key)
+            if nxt is None:
+                nxt = blind_moves[key] = plan_next(
+                    inst, beliefs, surviving, current, "blind")
+        else:
+            nxt = plan_next(inst, beliefs, surviving, current, cfg.planner)
         if nxt != current:
             t += float(inst.cost[current, nxt])
             current = nxt

@@ -32,21 +32,19 @@ O(1), u's rank among the factors shifting the later weights to
 P_{j+1}(R) / (1 - p(u)) (_tree_tails); states at different vertices with
 the same remaining set share the result.
 
-On symmetric costs the tree bound is never below the pairing bound, which
-pairs the same weights with the entry minima E(w) = min over x in R - {w}
-of c(x, w), sorted ascending. Root the tree at u: each w in R - {u} has
-a parent edge costing at least E(w), so the sorted tree edges dominate
-the sorted entries term by term. On asymmetric costs neither bound
-dominates, and both stay admissible.
-
-The root rule picks the bounds per solve, from the instance alone.
-build_heuristic_table evaluates the pairing bound at the start state
-from the entry minima of its cost matrix, which costs far less than a
-tree. A solve uses the tree bound iff n >= TREE_FLOOR and that pairing
-value beats gamma's root value; the root key is then the largest of
-gamma's, the pairing and the tree root values, and a child's f is the
-larger of its gamma and tree bounds. Otherwise the search is exactly the
-gamma-only one. The floor is measured. Full solves gain from the tree
+The root rule picks the bounds per solve, from the instance alone. A
+solve uses the tree bound iff n >= TREE_FLOOR and the tree's root value
+beats gamma's; the root key is then the tree root value, and a child's f
+is the larger of its gamma and tree bounds. Otherwise the search is
+exactly the gamma-only one. Most solves settle the rule without a Prim.
+The incumbent's path (below) is a Hamiltonian path from the start, so a
+spanning tree of all vertices: by Gale its sorted hop costs bound the
+sorted edges of a minimum spanning tree term by term, and csym <= cost.
+So the same weights times the sorted hops (_path_bound) are never below
+the tree root value, and where they do not beat gamma's root value,
+neither does the tree. Only a solve whose path bound beats gamma's
+computes the tree root value, once, and it both decides the rule and
+keys the root. The floor is measured. Full solves gain from the tree
 from about eight vertices on, but first-move replans, which stop after a
 few expansions, do not repay a tree per remaining set; of the floors
 tried (8, 10, 12 and 14), 12 made a round of lifelong replans fastest.
@@ -228,6 +226,7 @@ class SearchStats:
     root_bound: float | None = None  # f of the start state; None: no search
     pruned_bound: int = 0  # children whose key lay above the incumbent cut
     upper_bound: float | None = None  # the incumbent's cost; None: no search
+    trees: int = 0  # spanning trees behind the bounds; 0: gamma alone
 
     @property
     def prunes(self) -> int:
@@ -262,19 +261,16 @@ class SearchState:
 @dataclass(frozen=True)
 class HeuristicTable:
     gamma: np.ndarray  # gamma[v, k]: discounted k-hop relaxation from v
-    pairing_root: float = 0.0  # pairing bound at the root: the rule's screen
 
 
 def build_heuristic_table(inst: Instance) -> HeuristicTable:
     """gamma[v, 0] = 0; gamma[v, k] = (1-p(v)) * min over u != v of
     (cost(v, u) + gamma[u, k-1]). Revisits are allowed, which keeps the
-    recursion quadratic and the bound admissible. Also evaluates the
-    pairing bound at the start state (module docstring)."""
+    recursion quadratic and the bound admissible."""
     n = inst.n
     # built k-major, rows[k, v] = gamma[v, k], so that each step writes one
     # contiguous row; buf[u, v] = cost(v, u) + gamma[u, k-1]
     rows = np.zeros((n, n))
-    pairing_root = 0.0
     if n > 1:
         omp = 1.0 - inst.prob
         c_in = inst.cost.T.copy()
@@ -284,21 +280,8 @@ def build_heuristic_table(inst: Instance) -> HeuristicTable:
             np.add(c_in, rows[k - 1][:, None], out=buf)
             np.minimum.reduce(buf, axis=0, out=rows[k])
             rows[k] *= omp
-        # at the root any vertex may enter any other; on lists, where these
-        # few steps cost less than as numpy calls
-        entry = c_in.min(axis=1).tolist()
-        factor = omp.tolist()
-        q = factor.pop(inst.start)
-        del entry[inst.start]
-        entry.sort()
-        factor.sort()
-        weight = 1.0
-        for e, f in zip(entry, factor):
-            pairing_root += e * weight
-            weight *= f
-        pairing_root *= q
     rows.setflags(write=False)
-    return HeuristicTable(rows.T, pairing_root)
+    return HeuristicTable(rows.T)
 
 
 def heuristic_value(table: HeuristicTable, inst: Instance,
@@ -399,6 +382,20 @@ def _dive(cost, hrows, omp, start):
     return tuple(path), g
 
 
+def _path_bound(path, cost, omp):
+    """The weights of the tree bound at the root times the sorted hop costs
+    of path, a Hamiltonian path from the start: never below the tree root
+    value (module docstring, root rule)."""
+    hops = sorted(cost[v][u] for v, u in zip(path, path[1:]))
+    factors = sorted(omp[u] for u in path[1:])
+    total = 0.0
+    weight = 1.0
+    for c, o in zip(hops, factors):
+        total += c * weight
+        weight *= o
+    return omp[path[0]] * total
+
+
 def _path_to(states, sid):
     """Vertices from the start to state sid, following parent ids."""
     order = []
@@ -440,27 +437,28 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     eps = cfg.epsilon
     use_focal = eps > 0.0
     f0 = 0.0
-    use_tree = False
     if cfg.use_heuristic:
-        table = build_heuristic_table(inst)
         # hrows[k][v] = gamma[v, k]
-        hrows = table.gamma.T.tolist()
+        hrows = build_heuristic_table(inst).gamma.T.tolist()
         f0 = hrows[n - 1][start]
-        # the root rule (module docstring)
-        use_tree = n >= TREE_FLOOR and table.pairing_root > f0
     else:
         # c + 0.0 == c, so f = g + q * (c + 0.0) is g to the bit
         hrows = [[0.0] * n] * n
     full = (1 << n) - 1
-    if use_tree:
+    dive, upper = _dive(cost, hrows, omp_list, start)
+    # the root rule (module docstring): the path bound screens the Prim
+    use_tree = False
+    if (cfg.use_heuristic and n >= TREE_FLOOR
+            and _path_bound(dive, cost, omp_list) > f0):
         csym = np.minimum(inst.cost, inst.cost.T).tolist()
         tree_root = omp_list[start] * _tree_tails(full, csym,
                                                   omp_list)[start]
-        f0 = max(f0, table.pairing_root, tree_root)
-        # the bounds depend on the remaining set only, which states at
-        # different vertices share
-        tails_of = {}
-    _, upper = _dive(cost, hrows, omp_list, start)
+        if tree_root > f0:
+            use_tree = True
+            f0 = tree_root
+            # the bounds depend on the remaining set only, which states at
+            # different vertices share
+            tails_of = {}
     # no child above the cut can change the search (module docstring)
     cut = ((1.0 + eps) * (upper + 2 * n * DOMINANCE_TOL) * (1.0 + 1e-9)
            if use_pruning else float("inf"))
@@ -653,5 +651,6 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
         path, best = path[:2], None
     stats = SearchStats(expansions, generations, pruned_extracted,
                         pruned_generated, peak_open,
-                        time.perf_counter() - t0, f0, pruned_bound, upper)
+                        time.perf_counter() - t0, f0, pruned_bound, upper,
+                        1 + len(tails_of) if use_tree else 0)
     return SolveResult(status, path, best, stats)

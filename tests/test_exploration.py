@@ -84,18 +84,35 @@ def test_phi_geometric_open_versus_walled():
     lab = np.full((3, 3), UNKNOWN, dtype=np.uint8)
     lab[1, 1] = FREE
     open_g = OccupancyGrid(lab)
-    assert phi_geometric(open_g, (1, 1), bearing=0.0) == pytest.approx(1.0)
+    assert phi_geometric(open_g, (1, 1), bearing=0.0,
+                         max_range_cells=20.0) == pytest.approx(1.0)
 
     ring = np.full((5, 5), FREE, dtype=np.uint8)
     ring[1:4, 1:4] = OCCUPIED
     ring[2, 2] = FREE
     walled = OccupancyGrid(ring)
-    assert phi_geometric(walled, (2, 2), bearing=1.0) == 0.0
+    assert phi_geometric(walled, (2, 2), bearing=1.0,
+                         max_range_cells=20.0) == 0.0
 
     # fully known free space within range: no ray finds unknown
     room = OccupancyGrid(np.full((41, 41), FREE, dtype=np.uint8))
     assert phi_geometric(room, (20, 20), bearing=0.0,
                          max_range_cells=10.0) == 0.0
+
+
+def test_phi_geometric_range_defaults_to_the_sensor_radius():
+    """Unknown space 16 cells east of the cell lies beyond the sensor
+    radius in cells (10 at resolution 1, 5 at resolution 2), which
+    exploration scores with, but within a 20-cell range."""
+    lab = np.full((61, 61), FREE, dtype=np.uint8)
+    lab[:, 46:] = UNKNOWN
+    for res in (1.0, 2.0):
+        grid = OccupancyGrid(lab, res)
+        assert phi_geometric(grid, (30, 30), bearing=0.0) == phi_geometric(
+            grid, (30, 30), bearing=0.0,
+            max_range_cells=SENSOR_RADIUS / res) == 0.0
+        assert phi_geometric(grid, (30, 30), bearing=0.0,
+                             max_range_cells=20.0) > 0.0
 
 
 def test_phi_object_peaks_at_gaussian_mean():

@@ -268,3 +268,32 @@ def test_missions_match_recorded_digest():
         count += 1
     assert count == 12
     assert digest.hexdigest() == MISSION_DIGEST
+
+
+def test_blind_replans_once_per_position_and_surviving_set(monkeypatch):
+    """The blind tour reads only costs, so a mission solves it once per
+    (robot position, surviving set) and reuses the move; every move is
+    still the one an uncached plan_next returns."""
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return blind_hpp_solve(*args, **kwargs)
+
+    monkeypatch.setattr(hpppt.lifelong, "blind_hpp_solve", counting)
+    inst = _mission_instance(14, seed=21)
+    truth = GroundTruth.from_targets(14, [3, 9])
+    log = run_mission(inst, truth, SENSOR,
+                      MissionConfig(planner="blind", seed=0))
+    monkeypatch.undo()
+    surviving = set(range(14))
+    keys = set()
+    for step, nxt in zip(log.steps, log.steps[1:]):
+        if step.retired:
+            surviving.discard(step.retired[0])
+        keys.add((step.vertex, frozenset(surviving)))
+        assert plan_next(inst, step.beliefs, surviving, step.vertex,
+                         "blind") == nxt.vertex
+    solved = sum(len(s - {v}) > 0 for v, s in keys)
+    assert calls[0] == solved
+    assert solved < len(log.steps) - 1

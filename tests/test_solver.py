@@ -9,7 +9,8 @@ from hpppt import (Instance, InvalidConfigError, SearchState, SolverConfig,
 from hpppt import solver as solver_mod
 from hpppt.baselines import nearest_neighbor
 from hpppt.bench import make_instance
-from hpppt.solver import TREE_FLOOR, _has_superset, _tree_tails
+from hpppt.solver import (TREE_FLOOR, _dive, _has_superset, _path_bound,
+                          _tree_tails)
 from support import brute_force_best, completion_table, random_instance
 
 TRI = Instance([[0, 1, 4], [1, 0, 2], [4, 2, 0]], [0.2, 0.5, 0.3], 0, "tri")
@@ -346,19 +347,6 @@ def test_oracle_agreement_medium():
         assert a.cost == pytest.approx(b.cost, abs=1e-9)
 
 
-def _passes_root_screen(inst):
-    """The pairing screen of the root rule: the pairing bound's root value
-    beats gamma's."""
-    table = build_heuristic_table(inst)
-    return table.pairing_root > table.gamma[inst.start, inst.n - 1]
-
-
-def _uses_tree(inst):
-    """The root rule: the tree bound joins gamma on instances of at least
-    TREE_FLOOR vertices that pass the pairing screen."""
-    return inst.n >= TREE_FLOOR and _passes_root_screen(inst)
-
-
 def _optimum(inst):
     """Exact optimum from the support DP, independent of the solver."""
     full = (1 << inst.n) - 1
@@ -458,30 +446,30 @@ def test_tree_tails_admissible_against_exact_completion():
     assert pairs > 4000
 
 
-def test_tree_tails_dominate_pairing_on_symmetric_costs():
-    """On symmetric costs the tree tail is at least the pairing bound: the
-    entry minima of rem - {u}, sorted ascending, times the same weights."""
-    rng = np.random.default_rng(137)
+def test_path_bound_never_below_tree_root():
+    """The root rule's screen: the sorted hop costs of a Hamiltonian path
+    from the start, the dive's or a random one, times the tree bound's root
+    weights are never below the tree root value, on Euclidean, non-metric
+    symmetric and asymmetric costs."""
+    rng = np.random.default_rng(139)
     above = 0
-    for euclidean in (True, False):
+    for kind in ("euclidean", "symmetric", "asymmetric"):
         for _ in range(40):
-            n = int(rng.integers(3, 12))
+            n = int(rng.integers(2, 16))
             inst = random_instance(rng, n, p_max=float(rng.choice(
-                [0.1, 0.5, 0.9])), euclidean=euclidean)
+                [0.1, 0.5, 0.9])), euclidean=kind == "euclidean")
+            if kind == "asymmetric":
+                inst = _asymmetric(inst, rng)
             cost = inst.cost.tolist()
             omp = (1.0 - inst.prob).tolist()
-            rem = int(rng.integers(0, 1 << n))
-            members = _members(rem)
-            if len(members) < 2:
-                continue
-            for u, tail in _tree_tails(rem, cost, omp).items():
-                rest = [w for w in members if w != u]
-                ent = sorted(min(cost[x][w] for x in members if x != w)
-                             for w in rest)
-                weights = _weights(omp, rest)
-                pairing = float(np.dot(ent, weights[:len(ent)]))
-                assert tail >= pairing - 1e-12 * max(1.0, pairing)
-                above += tail > pairing * (1.0 + 1e-9)
+            hrows = build_heuristic_table(inst).gamma.T.tolist()
+            dive, _ = _dive(cost, hrows, omp, inst.start)
+            rest = [int(u) for u in rng.permutation(n) if u != inst.start]
+            root = _tree_root(inst)
+            for path in (dive, (inst.start, *rest)):
+                bound = _path_bound(path, cost, omp)
+                assert bound >= root - 1e-12 * max(1.0, root)
+                above += bound > root * (1.0 + 1e-9)
     assert above > 0
 
 
@@ -559,30 +547,56 @@ def _tree_root(inst):
 
 
 def test_root_bound_reports_root_key():
-    """The root key is gamma's root value, raised to the larger of the
-    pairing and tree root values where the root rule picks the tree."""
+    """The root key is gamma's root value, or the tree root value where the
+    root rule picks the tree: from TREE_FLOOR vertices on, when the tree
+    root value beats gamma's."""
     fires = make_instance(12, 1, 3, 0.1)
-    for inst in (fires, make_instance(12, 0, 3, 0.9),
-                 make_instance(TREE_FLOOR - 1, 1, 3, 0.1)):
-        table = build_heuristic_table(inst)
-        gamma_root = table.gamma[inst.start, inst.n - 1]
+    small = make_instance(TREE_FLOOR - 1, 1, 3, 0.1)
+    for inst in (fires, make_instance(12, 0, 3, 0.9), small):
+        gamma_root = build_heuristic_table(inst).gamma[inst.start,
+                                                       inst.n - 1]
         res = solve(inst, SolverConfig(time_limit=None))
-        if _uses_tree(inst):
-            assert res.stats.root_bound == max(
-                gamma_root, table.pairing_root, _tree_root(inst))
-            assert res.stats.root_bound >= max(gamma_root,
-                                               table.pairing_root)
+        tree_root = _tree_root(inst)
+        assert (res.stats.trees > 0) == (inst.n >= TREE_FLOOR
+                                         and tree_root > gamma_root)
+        if res.stats.trees:
+            assert res.stats.root_bound == tree_root > gamma_root
         else:
             assert res.stats.root_bound == gamma_root
         assert res.stats.root_bound <= res.cost
         off = solve(inst, SolverConfig(use_heuristic=False, time_limit=None))
         assert off.stats.root_bound == 0.0
-    assert _uses_tree(fires)
-    assert _tree_root(fires) > build_heuristic_table(fires).pairing_root
-    assert not _uses_tree(make_instance(12, 0, 3, 0.9))
-    # below the floor the pairing screen passes, but gamma stays alone
-    small = make_instance(TREE_FLOOR - 1, 1, 3, 0.1)
-    assert _passes_root_screen(small) and not _uses_tree(small)
+        assert off.stats.trees == 0
+    assert solve(fires, SolverConfig(time_limit=None)).stats.trees > 0
+    # below the floor the tree root value beats gamma's, but gamma stays
+    # alone
+    assert _tree_root(small) > build_heuristic_table(small).gamma[
+        small.start, small.n - 1]
+
+
+def test_root_rule_reads_the_tree_root_value():
+    """Instances whose tree root value beats gamma's though a weaker
+    stand-in for it did not: the tree is used, cuts a 559-expansion exact
+    search to at most 100, and keys the root even when the search times
+    out. A first-move solve returns the full search's first move."""
+    res = solve(make_instance(12, 0, 3, 0.1), SolverConfig(time_limit=None))
+    assert res.status == "ok"
+    assert res.stats.trees > 0
+    assert res.stats.expansions <= 100
+    hard = make_instance(30, 0, 7, 0.1)
+    res = solve(hard, SolverConfig(time_limit=0.2))
+    assert res.stats.root_bound == _tree_root(hard)
+    assert res.stats.root_bound == pytest.approx(564.52, abs=0.005)
+    for n, index, seed in ((12, 0, 3), (12, 4, 3), (13, 5, 3), (12, 2, 5),
+                           (13, 1, 5), (14, 5, 7)):
+        inst = make_instance(n, index, seed, 0.1)
+        for eps in (0.0, 0.05):
+            cfg = SolverConfig(epsilon=eps, time_limit=None)
+            full = solve(inst, cfg)
+            first = solve(inst, cfg, first_move=True)
+            assert full.status == first.status == "ok"
+            assert full.stats.trees > 0
+            assert first.path == full.path[:2]
 
 
 def test_exact_and_focal_costs_on_make_instance_grid():
@@ -595,7 +609,6 @@ def test_exact_and_focal_costs_on_make_instance_grid():
         for p_max in (0.02, 0.1, 0.5, 0.9):
             for index in (0, 1):
                 inst = make_instance(n, index, 5, p_max)
-                used += _uses_tree(inst)
                 cells += 1
                 opt = _optimum(inst)
                 if n <= 8:
@@ -604,6 +617,7 @@ def test_exact_and_focal_costs_on_make_instance_grid():
                 res = solve(inst, SolverConfig(time_limit=None))
                 assert res.status == "ok"
                 assert abs(res.cost - opt) <= 1e-9 * max(1.0, opt)
+                used += res.stats.trees > 0
                 for eps in (0.02, 0.2):
                     res = solve(inst, SolverConfig(epsilon=eps,
                                                    time_limit=None))
@@ -626,15 +640,16 @@ def test_reported_h_admissible_with_tree_bound():
     above_gamma = 0
     used = 0
     for inst in cases:
-        used += _uses_tree(inst)
         table = build_heuristic_table(inst)
         finish = completion_table(inst)
         full = (1 << inst.n) - 1
         for eps in (0.0, 0.2):
             generated = []
             expanded = []
-            solve(inst, SolverConfig(epsilon=eps, time_limit=None),
-                  on_generate=generated.append, on_expand=expanded.append)
+            res = solve(inst, SolverConfig(epsilon=eps, time_limit=None),
+                        on_generate=generated.append,
+                        on_expand=expanded.append)
+            used += res.stats.trees > 0
             keys = {}
             for s in generated:
                 hstar = s.q * finish(s.v, full & ~s.visited)
@@ -644,7 +659,7 @@ def test_reported_h_admissible_with_tree_bound():
             # on_expand reports the h of the key the state was queued with
             for s in expanded:
                 assert s.h == keys[(s.v, s.visited, s.g)]
-    assert used == len(cases)
+    assert used == 2 * len(cases)
     assert above_gamma > 0
 
 
@@ -659,12 +674,12 @@ def test_tree_keys_never_fall_below_parent():
               for _ in range(10)]
     used = 0
     for inst in cases:
-        used += _uses_tree(inst)
         for eps in (0.0, 0.2):
             events = []
-            solve(inst, SolverConfig(epsilon=eps, time_limit=None),
-                  on_expand=lambda s: events.append((True, s.f)),
-                  on_generate=lambda s: events.append((False, s.f)))
+            res = solve(inst, SolverConfig(epsilon=eps, time_limit=None),
+                        on_expand=lambda s: events.append((True, s.f)),
+                        on_generate=lambda s: events.append((False, s.f)))
+            used += res.stats.trees > 0
             parent = None
             expanded = []
             for is_expand, f in events[1:]:
@@ -676,13 +691,13 @@ def test_tree_keys_never_fall_below_parent():
             if eps == 0.0:
                 for a, b in zip(expanded, expanded[1:]):
                     assert b >= a - 1e-12 * max(1.0, a)
-    assert used >= 10
+    assert used >= 20
 
 
 def test_tree_bound_cuts_hard_regime_expansions():
-    """Exact search at p_max 0.1 and n = 20, where gamma and the pairing
-    bound reach about half the optimum at the root, needed 9,164
-    expansions; the tree bound brings it under 1,500."""
+    """Exact search at p_max 0.1 and n = 20, where gamma reaches about half
+    the optimum at the root, needed 9,164 expansions before the tree
+    bound; the tree bound brings it under 1,500."""
     res = solve(make_instance(20, 0, 7, 0.1), SolverConfig(time_limit=None))
     assert res.status == "ok"
     assert res.stats.expansions <= 1500
@@ -690,8 +705,10 @@ def test_tree_bound_cuts_hard_regime_expansions():
 
 # sha256 over every search below of (status, path, repr(cost), expansions,
 # generations, pruned_extracted, pruned_generated, peak_open), in grid
-# order, split by the pairing screen of the root rule. The searches that
-# fail it, and so keep gamma alone, were
+# order, split by whether the search used the tree bound
+# (SearchStats.trees > 0). Until the root rule read the tree root value
+# itself, the split was by its pairing screen: the searches that failed
+# it, and so kept gamma alone, were
 # recorded with the unbucketed linear frontier scan and the open-heap focal
 # rebuild, and again before the pairing bound existed. The searches with the
 # pairing bound were recorded with it; each of their exact costs equals the
@@ -725,11 +742,19 @@ def test_tree_bound_cuts_hard_regime_expansions():
 # SEARCH_RESULT_DIGEST below therefore records: n = 10 k00 at eps 0.02
 # and 0.2 and k01 at eps 0.2 went to the optimum (from 1.0063 and 1.0471
 # of it); n = 13 k00 and k01 at eps 0.2 went from the optimum to 1.0173
-# and 1.0057 of it.
+# and 1.0057 of it. Both were recorded again when the root rule came to
+# compare the tree root value itself with gamma's, and the split came to
+# read SearchStats.trees. The six n = 10 searches at p_max 0.1 with the
+# heuristic, below the floor and unchanged, moved to the gamma group.
+# rand-n012-k00-s3 at p_max 0.1, whose pairing value (376.4) lost to
+# gamma's (503.4) but whose tree root value (575.9) beats it, moved to the
+# tree group. Its three searches are the only ones that changed:
+# expansions 559 -> 56, 549 -> 45 and 576 -> 47 at eps 0, 0.02 and 0.2,
+# and at eps 0.2 the path moved to the optimum (861.1956 -> 856.1840).
 GAMMA_GRID_DIGEST = (
-    "b961de01fb38bf55f64d9855b1cb01f5a30bb6f402fdf683cb4e960d20fa650f")
-PAIRING_GRID_DIGEST = (
-    "a087e9cc52bb35453e4011da207faf2cce68a6dfb5a5e69f8260e1a559072b1c")
+    "a85a08ebffe9484021277f9daf880924065c173afe49c03d4a23be6dad1bfcd7")
+TREE_GRID_DIGEST = (
+    "1b708fc7112e3f31129d073355f967d5a60c755c4d180c05060660d39e95e46e")
 
 
 def _search_grid():
@@ -759,15 +784,15 @@ def test_searches_match_recorded_digest(grid_results):
     counts = {False: 0, True: 0}
     for inst, cfg, res in grid_results:
         s = res.stats
-        pairing = cfg.use_heuristic and _passes_root_screen(inst)
-        digests[pairing].update(repr((
+        tree = s.trees > 0
+        digests[tree].update(repr((
             res.status, res.path, repr(res.cost), s.expansions,
             s.generations, s.pruned_extracted, s.pruned_generated,
             s.peak_open)).encode())
-        counts[pairing] += 1
-    assert counts == {False: 36, True: 18}
+        counts[tree] += 1
+    assert counts == {False: 39, True: 15}
     assert digests[False].hexdigest() == GAMMA_GRID_DIGEST
-    assert digests[True].hexdigest() == PAIRING_GRID_DIGEST
+    assert digests[True].hexdigest() == TREE_GRID_DIGEST
 
 
 # sha256 over every search of _search_grid() of (status, path, repr(cost),
@@ -778,10 +803,12 @@ def test_searches_match_recorded_digest(grid_results):
 # again with the append-only frontier, for the same four searches as
 # GAMMA_GRID_DIGEST, and with one queue order, as the grid digests above.
 # Recorded again when superset dominance moved to extraction only, for the
-# pruned_extracted counts and the two focal cells named above, and when the
-# tree bound replaced the pairing bound, for the 18 searches named above.
+# pruned_extracted counts and the two focal cells named above, when the
+# tree bound replaced the pairing bound, for the 18 searches named above,
+# and when the root rule came to read the tree root value, for the three
+# rand-n012-k00-s3 searches named above.
 SEARCH_IDENTITY_DIGEST = (
-    "c0d862da3d348181e8ca1f16e5d76428c74ba7b5f483f1db78ef0abc89c0c121")
+    "a1aec27c586f8cf904b519f7ce929fabc590b42fb61f3c91f800bb5b0c4cca42")
 
 
 def test_searches_keep_recorded_identity(grid_results):
@@ -798,9 +825,11 @@ def test_searches_keep_recorded_identity(grid_results):
 # in grid order: what each search returns, whatever it expanded or pruned
 # on the way. A change to the frontier that moves only counters leaves this
 # hash as it is. Recorded again with one queue order, as the digests above,
-# and for the five focal paths that the tree bound moved (named above).
+# for the five focal paths that the tree bound moved, and for the focal path
+# of rand-n012-k00-s3 at p_max 0.1 and eps 0.2 that the root rule's reading
+# of the tree root value moved to the optimum (both named above).
 SEARCH_RESULT_DIGEST = (
-    "913583135bb76dfac248d34a438b9d0dd110f6a52e9f5e461edfef56f4972178")
+    "aaf6419f18676f34cc719b6f4b38e58596f7af1a7c22eb47ef86b4e7d0c1db83")
 
 
 def test_searches_keep_recorded_results(grid_results):
