@@ -89,6 +89,7 @@ def cmd_solve(args) -> int:
         "expansions": res.stats.expansions,
         "generations": res.stats.generations,
         "pruned_extracted": res.stats.pruned_extracted,
+        "pruned_superset": res.stats.pruned_superset,
         "pruned_generated": res.stats.pruned_generated,
         "pruned_bound": res.stats.pruned_bound,
         "peak_open": res.stats.peak_open,

@@ -91,29 +91,45 @@ unvisited vertices, then the least g, then the first generated. Setting
 epsilon > 0 switches extraction to a focal rule: among queue states
 within (1 + epsilon) of the best f, prefer the one with fewest
 unvisited vertices. The returned cost is then at most (1 + epsilon) times
-optimal. A state generated within the bound joins the focal heap at once;
-one above it waits in a pending heap ordered by f. Whenever the best f
-strictly increases, the bound rises and the pending states now within it
-move to the focal heap. With gamma alone, which is consistent, or with
-pathmax, that floor never decreases, so focal membership is never
-invalidated. Focal never runs dry while the open heap holds a live state:
-every pending state lies above the bound, every other open state within
-the bound sits in the focal heap, and the open-heap top, at f = fmin, is
-within the bound.
+optimal. A state generated within the bound joins the focal heap, and the
+open heap, ordered by f, at once; one above it waits in a pending heap
+ordered by f, and joins both when it moves. Whenever the best f strictly
+increases, the bound rises and the pending states now within it move.
+With gamma alone, which is consistent, or with pathmax, that floor never
+decreases, so focal membership is never invalidated. So the open heap
+holds the focal-admitted states, all within the bound, and pending the
+others, all above it: the best f, fmin, is the open heap's least live
+entry, or, when it holds none, the pending top. Focal never runs dry:
+in the first case that entry's state waits in the focal heap, and in the
+second the bound rises to (1 + epsilon) times the pending top, which
+moves that state into focal.
 
 The incumbent cut. Before the search, _dive walks from the start, always
 to the unvisited vertex u with the least c(v, u) + gamma[u, krem], ties to
 the smaller index, and returns that path and its expected cost U, an upper
 bound on the optimum C*. With pruning on, a child whose gamma key
-g + q * (c + gamma[u, krem]) exceeds
+g + q * (c + gamma[u, krem]) or, where the search uses the tree bound,
+whose tree key g2 + q2 * tail exceeds
 
     cut = (1 + epsilon) * (U + 2 n * slack) * (1 + 1e-9)
 
-(slack the 1e-9 of dominance) is dropped before any other work on it and
-counted in pruned_bound. The search then extracts the same states in the
-same order, so the path, the cost bits, expansions, generations and
-pruned_extracted stay the same; only pruned_generated and peak_open fall.
-The argument, in exact arithmetic:
+(slack the 1e-9 of dominance) is dropped before the duplicate table sees
+it and counted in pruned_bound. The search then extracts the same states
+in the same order, so the path, the cost bits, expansions, generations
+and pruned_extracted stay the same; only pruned_generated and peak_open
+fall. At its first time check after TIGHTEN_AFTER expansions, a search
+improves the dive's path by local search (_local_search) and lowers U,
+and so the cut, to the new path's cost. The trigger counts expansions,
+not seconds, so reruns stay identical; it waits because on the many
+short solves the local search costs more than the states it spares.
+The argument below holds for any U at least C*, so a cut that tightens
+mid-search changes no extraction either: a state queued under the old cut
+with a key above the new one is never extracted. That is why U must be
+the cost of a real path from the start, summed as the search sums g
+(g += q * c, then q *= 1 - p): a figure got any other way, a rounded one
+say, could lie below the cost that the search finds for the optimum, and
+the cut would then drop the optimum's states and drain the queue. The
+argument, in exact arithmetic:
 - Until the goal is extracted, the queue holds a live state whose f is at
   most C* + (2n - 1) slack: the state of an optimal path or, where that
   was pruned, the state that pruned it, whose best completion is at most
@@ -126,14 +142,15 @@ The argument, in exact arithmetic:
   any order of links, as for a child pruned as a duplicate of a queued
   state that superset dominance drops later. So every extracted f, exact
   or focal, is at most (1 + epsilon) * (C* + (2n - 1) slack).
-- A child's key is at least its gamma key, as the tree term and pathmax
-  only raise it. So a cut child is never extracted, and it never
-  joins a frontier. Its one other effect would be its duplicate-table
-  entry: the states at its (vertex, visited-set) pair that it would
-  displace or reject. At one pair q, gamma and the tree tail are fixed,
-  so each key there is g plus the same constant, and every such state has
-  g at least the cut child's less a slack: its key lies above the cut less
-  a slack, above every extracted f. A state that the two searches queue
+- A child's key is at least its gamma key and, where the tree bound is in
+  use, its tree key, as the key is their max raised by pathmax. So a cut
+  child is never extracted, and it never joins a frontier. Its one other
+  effect would be its duplicate-table entry: the states at its (vertex,
+  visited-set) pair that it would displace or reject. At one pair q,
+  gamma and the tree tail are fixed, so each gamma or tree key there is g
+  plus the same constant, and every such state has g at least the cut
+  child's less a slack: the same key of it lies above the cut less a
+  slack, above every extracted f. A state that the two searches queue
   differently for that reason is therefore never extracted either. Nor
   does it set the focal floor, as the live state of the first point lies
   below it, and removing states leaves the order of the others in every
@@ -171,12 +188,13 @@ per expansion.
 
 Children are scored on Python floats read from lists made once per solve:
 f2 = g + q * (c(v, u) + gamma[u, krem]) first, for the cut, then
-g2 = g + q * c(v, u) for children within it, with f2 raised to the
-tree bound and by pathmax where the root rule applies to children that
-survive the duplicate check. These are the same IEEE double
-operations in the same order as whole-row numpy arithmetic, and Python
-fuses no multiply-add, so every bit, and hence every search, is the same
-as with numpy rows.
+g2 = g + q * c(v, u) and q2 for children within it, and, where the root
+rule picked the tree bound, the tree key g2 + q2 * tail, for the cut and
+as f2 where it is larger; children that survive the duplicate check,
+keyed by the integer mask * n + v, are raised by pathmax. These are the
+same IEEE double operations in the same order as whole-row numpy
+arithmetic, and Python fuses no multiply-add, so every bit, and hence
+every search, is the same as with numpy rows.
 """
 
 import heapq
@@ -193,6 +211,13 @@ DEFAULT_TIME_LIMIT = 60.0
 # the fewest vertices on which the root rule may pick the tree bound, set by
 # measurement (module docstring)
 TREE_FLOOR = 12
+# the expansions after which a search tightens its incumbent by local search,
+# and the most passes that search makes (module docstring)
+TIGHTEN_AFTER = 4096
+LOCAL_SEARCH_PASSES = 200
+# the block pairs, four moves each, that the local search scores in one
+# numpy step, which bounds its memory on large instances
+LOCAL_SEARCH_CHUNK = 1 << 15
 
 
 class InvalidConfigError(ValueError):
@@ -227,6 +252,7 @@ class SearchStats:
     pruned_bound: int = 0  # children whose key lay above the incumbent cut
     upper_bound: float | None = None  # the incumbent's cost; None: no search
     trees: int = 0  # spanning trees behind the bounds; 0: gamma alone
+    pruned_superset: int = 0  # extracted states dropped by superset dominance
 
     @property
     def prunes(self) -> int:
@@ -356,6 +382,16 @@ def _has_superset(gb, mb, size, mask, glim):
     return False
 
 
+def _path_cost(path, cost, omp):
+    """The expected cost of path, summed as the search sums g."""
+    g = 0.0
+    q = omp[path[0]]
+    for v, u in zip(path, path[1:]):
+        g += q * cost[v][u]
+        q *= omp[u]
+    return g
+
+
 def _dive(cost, hrows, omp, start):
     """The incumbent: from start, always move to the unvisited vertex u
     with the least cost(v, u) + gamma[u, krem], ties to the smaller index.
@@ -363,8 +399,6 @@ def _dive(cost, hrows, omp, start):
     left = [u for u in range(len(cost)) if u != start]
     path = [start]
     v = start
-    g = 0.0
-    q = omp[start]
     for krem in range(len(left) - 1, -1, -1):
         crow = cost[v]
         hrow = hrows[krem]
@@ -377,9 +411,98 @@ def _dive(cost, hrows, omp, start):
                 best = key
         left.remove(v)
         path.append(v)
-        g += q * crow[v]
-        q *= omp[v]
-    return tuple(path), g
+    return tuple(path), _path_cost(path, cost, omp)
+
+
+def _swap_scores(x, c, P, F, R, s, t, e):
+    """scores[ra, rb, k]: the expected cost of path x after move k of
+    _local_search, with block A = [s, t] reversed iff ra and block
+    B = [t + 1, e] iff rb. x ends in the dummy vertex; P[k] is the survival
+    weight after x[k], F[k] the cost up to x[k], and R[k] the cost of the
+    hops up to x[k] walked backwards, each over the weight of the hop into
+    the vertex it leaves."""
+    m = len(x) - 2
+    # weights can underflow to 0 on long paths; such moves score inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the new path is x[:s], B, A, x[e + 1:]: B is entered at weight w0
+        # and A at w1, and past A the weights are as before. Each block is
+        # (first vertex, last vertex, cost inside it), forward and reversed.
+        w0 = P[s - 1]
+        w1 = w0 * P[e] / P[t]
+        a_ways = ((x[s], x[t], P[e] / P[t] * (F[t] - F[s])),
+                  (x[t], x[s], w1 * P[t] * (R[t] - R[s])))
+        b_ways = ((x[t + 1], x[e], w0 / P[t] * (F[e] - F[t + 1])),
+                  (x[e], x[t + 1], w0 * P[e] * (R[e] - R[t + 1])))
+        rest = F[s - 1] + (F[m + 1] - F[e + 1])
+        scores = np.empty((2, 2, len(s)))
+        for ra, (a_in, a_out, in_a) in enumerate(a_ways):
+            for rb, (b_in, b_out, in_b) in enumerate(b_ways):
+                scores[ra, rb] = (rest + w0 * c[x[s - 1], b_in] + in_b
+                                  + w1 * c[b_out, a_in] + in_a
+                                  + P[e] * c[a_out, x[e + 1]])
+    scores[~np.isfinite(scores)] = np.inf
+    return scores
+
+
+def _local_search(path, g, cost, omp):
+    """Improve path, a Hamiltonian path from path[0] of expected cost g.
+    A move swaps two adjacent blocks A and B of the path, either of them
+    reversed or not, one of them 1-3 vertices long: or-opt with segments
+    of 1-3 (Or 1976) in both orientations, and, with A a single vertex and
+    B reversed, 2-opt (Croes 1958). Each pass scores every move from prefix
+    sums of the hop weights, LOCAL_SEARCH_CHUNK block pairs at a time, and
+    takes the best; it is kept only if the path's cost summed as the
+    search sums g (_path_cost) is strictly lower. Returns the path and that
+    cost after at most LOCAL_SEARCH_PASSES passes."""
+    n = len(path)
+    if n < 3:
+        return path, g
+    # a dummy vertex n ends every path, reached at no cost, factor 1, so
+    # that B may end at the path's end without a case of its own
+    c = np.zeros((n + 1, n + 1))
+    c[:n, :n] = cost
+    o = np.append(omp, 1.0)
+    # A = [s, t] and B = [t + 1, e], with 1 <= s <= t < e <= n - 1
+    blocks = []
+    for size in (1, 2, 3):
+        s, e = np.meshgrid(np.arange(1, n), np.arange(1, n), indexing="ij")
+        keep = s + size <= e
+        blocks.append((s[keep], s[keep] + size - 1, e[keep]))
+        keep = s + 3 <= e - size
+        blocks.append((s[keep], e[keep] - size, e[keep]))
+    s, t, e = map(np.concatenate, zip(*blocks))
+    for _ in range(LOCAL_SEARCH_PASSES):
+        x = np.append(path, n)
+        P = np.cumprod(o[x])
+        W = np.append(1.0, P[:-1])
+        F = np.cumsum(W * np.append(0.0, c[x[:-1], x[1:]]))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            R = np.cumsum(np.append(0.0, c[x[1:], x[:-1]]) / W)
+        best, move = F[n - 1], None
+        for lo in range(0, len(s), LOCAL_SEARCH_CHUNK):
+            part = slice(lo, lo + LOCAL_SEARCH_CHUNK)
+            scores = _swap_scores(x, c, P, F, R, s[part], t[part], e[part])
+            ra, rb, k = np.unravel_index(np.argmin(scores), scores.shape)
+            if scores[ra, rb, k] < best:
+                best, move = scores[ra, rb, k], (ra, rb, lo + k)
+        if move is None:
+            break
+        ra, rb, k = move
+        lo, mid, hi = int(s[k]), int(t[k]) + 1, int(e[k]) + 1
+        a = path[lo:mid][::-1] if ra else path[lo:mid]
+        b = path[mid:hi][::-1] if rb else path[mid:hi]
+        new = path[:lo] + b + a + path[hi:]
+        g2 = _path_cost(new, cost, omp)
+        if not g2 < g:
+            break
+        path, g = new, g2
+    return path, g
+
+
+def _cut(upper, eps, n):
+    """The incumbent cut on child keys for an incumbent of cost upper
+    (module docstring)."""
+    return (1.0 + eps) * (upper + 2 * n * DOMINANCE_TOL) * (1.0 + 1e-9)
 
 
 def _path_bound(path, cost, omp):
@@ -460,12 +583,13 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
             # different vertices share
             tails_of = {}
     # no child above the cut can change the search (module docstring)
-    cut = ((1.0 + eps) * (upper + 2 * n * DOMINANCE_TOL) * (1.0 + 1e-9)
-           if use_pruning else float("inf"))
+    cut = _cut(upper, eps, n) if use_pruning else float("inf")
+    tighten_at = TIGHTEN_AFTER if use_pruning else float("inf")
 
     expansions = 0
     generations = 1
     pruned_extracted = 0
+    pruned_superset = 0
     pruned_generated = 0
     pruned_bound = 0
 
@@ -473,7 +597,8 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     # travels in the heap entries
     states = [(start, omp_list[start], 1 << start, 1, -1)]
     # focal mode only: states already extracted, whose open-heap entries are
-    # stale; in exact mode every state enters the open heap once
+    # stale; every state enters the open heap once, in focal mode when it
+    # enters the focal heap
     closed = set()
 
     if on_generate:
@@ -485,8 +610,9 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     # holds (f, sid, g) for the states generated above it
     focal_heap = [(n - 1, f0, 0.0, 0)] if use_focal else []
     pending = []
-    # best g seen per (vertex, visited-set), with the owning state id
-    bestg = {(start, 1 << start): (0.0, 0)}
+    # best g seen per (vertex, visited-set), keyed mask * n + v, with the
+    # owning state id
+    bestg = {(1 << start) * n + start: (0.0, 0)}
     # bucket_g[v][k] / bucket_m[v][k]: g and mask of the expanded states at
     # v whose visited set has k vertices, sorted by g; each list of buckets
     # grows to the largest k expanded at v, with None for a k not yet seen
@@ -513,14 +639,21 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     # the queue never drains before the goal is extracted (module docstring)
     while True:
         iters += 1
-        if (iters & 255) == 0 and time.perf_counter() - t0 > limit:
-            status, path = "timeout", None
-            break
+        if (iters & 255) == 0:
+            if time.perf_counter() - t0 > limit:
+                status, path = "timeout", None
+                break
+            if expansions >= tighten_at:
+                # a long search tightens its incumbent (module docstring)
+                tighten_at = float("inf")
+                dive, upper = _local_search(dive, upper, cost, omp_list)
+                cut = _cut(upper, eps, n)
 
         if use_focal:
-            while open_heap[0][3] in closed:
+            while open_heap and open_heap[0][3] in closed:
                 heappop(open_heap)
-            fmin = open_heap[0][0]
+            # open-heap states lie within the bound and pending ones above it
+            fmin = open_heap[0][0] if open_heap else pending[0][0]
             if fmin > last_fmin:
                 last_fmin = fmin
                 bound = (1.0 + eps) * fmin
@@ -528,9 +661,11 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
                 # from within the bound, which pending states are not
                 while pending and pending[0][0] <= bound:
                     f2, sid2, g2 = heappop(pending)
-                    heappush(focal_heap, (n - states[sid2][3], f2, g2, sid2))
-            # the open-heap top is within the bound, so a live entry waits
-            # in focal (see the module docstring); a state enters focal once
+                    krem2 = n - states[sid2][3]
+                    heappush(focal_heap, (krem2, f2, g2, sid2))
+                    heappush(open_heap, (f2, krem2, g2, sid2))
+            # the least f is within the bound, so a live entry waits in
+            # focal (see the module docstring); a state enters focal once
             # and is closed only when popped from it, so no entry is stale
             _, f, g, sid = heappop(focal_heap)
             closed.add(sid)
@@ -543,7 +678,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
         v, q, mask, size, _ = states[sid]
 
         if use_pruning:
-            bg = bestg.get((v, mask))
+            bg = bestg.get(mask * n + v)
             if bg is not None and bg[1] != sid:
                 pruned_extracted += 1
                 continue
@@ -553,6 +688,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
             nb = len(gb)
             if nb > size + 1 and _has_superset(gb, mb, size, mask, g + TOL):
                 pruned_extracted += 1
+                pruned_superset += 1
                 continue
             if nb <= size:
                 gb.extend([None] * (size + 1 - nb))
@@ -599,9 +735,19 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
                 pruned_bound += 1
                 continue
             g2 = g + q * c
+            q2 = q * omp_list[u]
+            if tree:
+                # the tree key is cut as the gamma key is, and the larger
+                # of the two is the key
+                ft = g2 + q2 * tails[u]
+                if ft > cut:
+                    pruned_bound += 1
+                    continue
+                if ft > f2:
+                    f2 = ft
             m2 = mask | lsb
             if use_pruning:
-                key = (u, m2)
+                key = m2 * n + u
                 hit = bestg.get(key)
                 if hit is not None and g2 >= hit[0] - TOL:
                     pruned_generated += 1
@@ -610,25 +756,20 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
                 bestg[key] = (g2, sid2)
             else:
                 sid2 = len(states)
-            q2 = q * omp_list[u]
             states.append((u, q2, m2, size2, sid))
-            if use_tree:
-                # the larger bound, and pathmax: never below the parent's f
-                if tree:
-                    ft = g2 + q2 * tails[u]
-                    if ft > f2:
-                        f2 = ft
-                if f2 < f:
-                    f2 = f
+            # pathmax: never below the parent's f
+            if use_tree and f2 < f:
+                f2 = f
             if on_generate:
                 on_generate(SearchState(u, g2, q2, m2, size2, f2 - g2))
-            heappush(open_heap, (f2, krem, g2, sid2))
             live_open += 1
-            if use_focal:
-                if f2 <= bound:
-                    heappush(focal_heap, (krem, f2, g2, sid2))
-                else:
-                    heappush(pending, (f2, sid2, g2))
+            if not use_focal:
+                heappush(open_heap, (f2, krem, g2, sid2))
+            elif f2 <= bound:
+                heappush(open_heap, (f2, krem, g2, sid2))
+                heappush(focal_heap, (krem, f2, g2, sid2))
+            else:
+                heappush(pending, (f2, sid2, g2))
         if live_open > peak_open:
             peak_open = live_open
         if first_move:
@@ -652,5 +793,6 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     stats = SearchStats(expansions, generations, pruned_extracted,
                         pruned_generated, peak_open,
                         time.perf_counter() - t0, f0, pruned_bound, upper,
-                        1 + len(tails_of) if use_tree else 0)
+                        1 + len(tails_of) if use_tree else 0,
+                        pruned_superset)
     return SolveResult(status, path, best, stats)

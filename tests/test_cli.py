@@ -61,6 +61,7 @@ def test_solve_emits_json_record(tmp_path, capsys):
     # the optimum
     assert 0.0 < rec["root_bound"] <= rec["cost"] <= rec["upper_bound"] + 1e-9
     assert 0 <= rec["pruned_bound"] <= rec["generations"]
+    assert 0 <= rec["pruned_superset"] <= rec["pruned_extracted"]
     # six vertices lie below TREE_FLOOR, so the search keeps gamma alone
     assert rec["trees"] == 0
 

@@ -9,8 +9,8 @@ from hpppt import (Instance, InvalidConfigError, SearchState, SolverConfig,
 from hpppt import solver as solver_mod
 from hpppt.baselines import nearest_neighbor
 from hpppt.bench import make_instance
-from hpppt.solver import (TREE_FLOOR, _dive, _has_superset, _path_bound,
-                          _tree_tails)
+from hpppt.solver import (TREE_FLOOR, _dive, _has_superset, _local_search,
+                          _path_bound, _path_cost, _tree_tails)
 from support import brute_force_best, completion_table, random_instance
 
 TRI = Instance([[0, 1, 4], [1, 0, 2], [4, 2, 0]], [0.2, 0.5, 0.3], 0, "tri")
@@ -259,6 +259,138 @@ def test_first_move_equals_full_search_prefix():
                                       < full.stats.expansions)
     assert solves == 11 * 9 * 2 * 3
     assert stopped_early > 0
+
+
+def test_search_does_not_depend_on_the_incumbent(monkeypatch):
+    """The incumbent only drops children that are never extracted: with the
+    dive's path, its local-search improvement or a poor real path as the
+    incumbent, every search expands the same states in the same order and
+    returns the same path and cost bits, in exact and focal mode, on metric
+    and non-metric costs. A first-move search stops once the states it
+    still holds lie in one branch, which a tighter cut, holding fewer, may
+    settle sooner, so it expands a prefix of that order and returns the
+    same move."""
+    real = solver_mod._dive
+    rng = np.random.default_rng(131)
+    for n in range(8, 17):
+        metric = random_instance(rng, n, p_max=0.5)
+        for inst in (metric, _inflated(rng, metric)):
+            cost = inst.cost.tolist()
+            omp = (1.0 - inst.prob).tolist()
+            # a real path, not a good one: the start, then ascending index
+            poor = (0,) + tuple(range(1, n))
+            incumbents = [
+                real,
+                lambda *args: _local_search(*real(*args), cost, omp),
+                lambda *args: (poor, _path_cost(poor, cost, omp))]
+            for eps in (0.0, 0.05):
+                cfg = SolverConfig(epsilon=eps, time_limit=None)
+                full = []
+                uppers = []
+                for dive in incumbents:
+                    monkeypatch.setattr(solver_mod, "_dive", dive)
+                    seen = []
+                    res = solve(inst, cfg, on_expand=seen.append)
+                    assert res.status == "ok"
+                    full.append((seen, res.path, repr(res.cost)))
+                    uppers.append(res.stats.upper_bound)
+                    seen = []
+                    first = solve(inst, cfg, on_expand=seen.append,
+                                  first_move=True)
+                    assert first.path == res.path[:2]
+                    assert seen == full[0][0][:len(seen)]
+                assert full[0] == full[1] == full[2]
+                assert uppers[1] <= uppers[0]
+                assert uppers[2] == _path_cost(poor, cost, omp)
+
+
+def test_tightened_incumbent_is_a_real_path(monkeypatch):
+    """A search that runs long enough tightens its incumbent by local search
+    once, at its first time check after TIGHTEN_AFTER expansions. Here the
+    trigger is moved to 0: every search still expands the same states and
+    returns the same result, and upper_bound is, bit for bit, the cost
+    summed as the search sums g of the Hamiltonian path from the start
+    that the local search returned."""
+    real = solver_mod._local_search
+    found = []
+
+    def recording(*args):
+        found.append(real(*args))
+        return found[-1]
+
+    rng = np.random.default_rng(137)
+    cases = [make_instance(n, index, 7, 0.1)
+             for n, index in ((15, 2), (16, 2), (17, 1), (17, 2), (18, 0))]
+    cases += [_inflated(rng, random_instance(rng, 13, p_max=0.1))]
+    tightened = 0
+    for inst in cases:
+        for eps in (0.0, 0.05):
+            cfg = SolverConfig(epsilon=eps, time_limit=None)
+            before = []
+            want = solve(inst, cfg, on_expand=before.append)
+            with monkeypatch.context() as m:
+                m.setattr(solver_mod, "TIGHTEN_AFTER", 0)
+                m.setattr(solver_mod, "_local_search", recording)
+                found.clear()
+                after = []
+                res = solve(inst, cfg, on_expand=after.append)
+            assert after == before
+            assert (res.path, repr(res.cost)) == (want.path, repr(want.cost))
+            # the check runs at every 256th extraction, pruned ones included
+            s = res.stats
+            assert len(found) == (s.expansions + s.pruned_extracted >= 256)
+            if not found:
+                continue
+            (path, g), = found
+            assert path[0] == inst.start
+            assert sorted(path) == list(range(inst.n))
+            assert res.stats.upper_bound == g == _path_cost(
+                path, inst.cost.tolist(), (1.0 - inst.prob).tolist())
+            assert g <= want.stats.upper_bound
+            assert res.cost <= (1.0 + eps) * g
+            tightened += g < want.stats.upper_bound
+    assert tightened > 0
+
+
+def test_local_search_takes_the_best_move(monkeypatch):
+    """One pass of _local_search scores every block swap (one block 1-3
+    vertices long, either block reversed or not) as a plain loop over the
+    moved paths does, and takes the best, also when it scores the moves in
+    many chunks; more passes never raise the cost, which is summed as the
+    search sums g."""
+    rng = np.random.default_rng(139)
+    improved = 0
+    for _ in range(120):
+        n = int(rng.integers(2, 12))
+        inst = random_instance(rng, n, p_max=0.5,
+                               euclidean=bool(rng.integers(2)))
+        cost = inst.cost.tolist()
+        omp = (1.0 - inst.prob).tolist()
+        path = (0,) + tuple(int(v) + 1 for v in rng.permutation(n - 1))
+        g = _path_cost(path, cost, omp)
+        best = g
+        for lo in range(1, n):
+            for mid in range(lo + 1, n):
+                for hi in range(mid + 1, n + 1):
+                    if min(mid - lo, hi - mid) > 3:
+                        continue
+                    a, b = path[lo:mid], path[mid:hi]
+                    for aa in (a, a[::-1]):
+                        for bb in (b, b[::-1]):
+                            moved = path[:lo] + bb + aa + path[hi:]
+                            best = min(best, _path_cost(moved, cost, omp))
+        with monkeypatch.context() as m:
+            m.setattr(solver_mod, "LOCAL_SEARCH_PASSES", 1)
+            _, one = _local_search(path, g, cost, omp)
+            m.setattr(solver_mod, "LOCAL_SEARCH_CHUNK", 7)
+            _, chunked = _local_search(path, g, cost, omp)
+        assert one == pytest.approx(best, rel=1e-12)
+        assert chunked == pytest.approx(best, rel=1e-12)
+        out, more = _local_search(path, g, cost, omp)
+        assert out[0] == 0 and sorted(out) == list(range(n))
+        assert more == _path_cost(out, cost, omp) <= one
+        improved += more < g
+    assert improved > 60
 
 
 def test_ok_is_sound_on_non_metric_costs():
@@ -538,6 +670,37 @@ def test_superset_dominance_runs_once_per_extraction(monkeypatch):
     assert scanned > 0
 
 
+def test_pruned_superset_counts_superset_prunes(monkeypatch):
+    """pruned_superset counts the extracted states that superset dominance
+    dropped: the scans that found a superset, none on non-metric costs,
+    and never more than pruned_extracted, which adds the duplicates."""
+    real = solver_mod._has_superset
+    found = [0]
+
+    def counting(*args):
+        hit = real(*args)
+        found[0] += hit
+        return hit
+
+    monkeypatch.setattr(solver_mod, "_has_superset", counting)
+    rng = np.random.default_rng(127)
+    pruned = {True: 0, False: 0}
+    for n in range(8, 14):
+        for p_max in (0.1, 0.5):
+            metric = random_instance(rng, n, p_max=p_max)
+            for inst in (metric, _inflated(rng, metric)):
+                for eps in (0.0, 0.05):
+                    found[0] = 0
+                    s = solve(inst, SolverConfig(epsilon=eps,
+                                                 time_limit=None)).stats
+                    assert s.pruned_superset == found[0]
+                    assert s.pruned_superset <= s.pruned_extracted
+                    if not is_metric(inst):
+                        assert s.pruned_superset == 0
+                    pruned[is_metric(inst)] += s.pruned_superset
+    assert pruned[True] > 0
+
+
 def _tree_root(inst):
     """The tree bound at the start state."""
     csym = np.minimum(inst.cost, inst.cost.T).tolist()
@@ -703,6 +866,19 @@ def test_tree_bound_cuts_hard_regime_expansions():
     assert res.stats.expansions <= 1500
 
 
+def test_hard_regime_queue_stays_small():
+    """Exact search at n = 28, p_max 0.1 queued at most 155,642 states at
+    once while the incumbent cut read the gamma key alone. Cutting on the
+    tree key too, with the incumbent tightened by local search after
+    TIGHTEN_AFTER expansions, keeps it under 60,000, with the same
+    expansions and cost bits."""
+    res = solve(make_instance(28, 0, 7, 0.1), SolverConfig(time_limit=None))
+    assert res.status == "ok"
+    assert repr(res.cost) == "887.120734855618"
+    assert res.stats.expansions == 14232
+    assert res.stats.peak_open < 60000
+
+
 # sha256 over every search below of (status, path, repr(cost), expansions,
 # generations, pruned_extracted, pruned_generated, peak_open), in grid
 # order, split by whether the search used the tree bound
@@ -751,10 +927,15 @@ def test_tree_bound_cuts_hard_regime_expansions():
 # tree group. Its three searches are the only ones that changed:
 # expansions 559 -> 56, 549 -> 45 and 576 -> 47 at eps 0, 0.02 and 0.2,
 # and at eps 0.2 the path moved to the optimum (861.1956 -> 856.1840).
+# TREE_GRID_DIGEST was recorded again when the incumbent cut came to test
+# the tree key too. The cut children are never extracted, so only
+# pruned_generated and peak_open moved, in 12 of the 15 tree searches
+# (peak_open 250 -> 107 at rand-n012-k00-s3 p_max 0.1 eps 0, for one);
+# every other field, and every gamma-only search, stayed as it was.
 GAMMA_GRID_DIGEST = (
     "a85a08ebffe9484021277f9daf880924065c173afe49c03d4a23be6dad1bfcd7")
 TREE_GRID_DIGEST = (
-    "1b708fc7112e3f31129d073355f967d5a60c755c4d180c05060660d39e95e46e")
+    "8a02d4e802dac0814d600a8d194cc58959437246c1228fdc71f7bb5d09ccd4d4")
 
 
 def _search_grid():
