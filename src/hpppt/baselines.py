@@ -3,8 +3,6 @@ probability-blind shortest-path heuristic (nearest neighbor plus 2-opt)."""
 
 import time
 
-import numpy as np
-
 from .instance import Instance, check_path, expected_cost_q
 from .solver import SearchStats, SolveResult
 
@@ -70,14 +68,9 @@ def greedy_solve(inst: Instance, *, score: bool = True) -> SolveResult:
     return _result(path, expected_cost_q(inst, path) if score else None, t0)
 
 
-def nearest_neighbor(inst: Instance) -> tuple:
-    """Plain nearest-neighbor order on edge costs from the start vertex,
-    ties to the smaller index."""
-    return _nearest_order(inst.cost.tolist(), inst.start)
-
-
 def _nearest_order(cost, start) -> tuple:
-    """nearest_neighbor on cost rows given as lists."""
+    """Plain nearest-neighbor order on edge costs, given as list rows, from
+    the start vertex, ties to the smaller index."""
     n = len(cost)
     visited = [False] * n
     visited[start] = True
@@ -97,18 +90,14 @@ def _nearest_order(cost, start) -> tuple:
     return tuple(order)
 
 
-def two_opt_path(order, cost) -> tuple:
-    """First-improvement 2-opt for an open path with a fixed first vertex
-    and a free end. Reversing order[i..j] is accepted only when it shortens
-    the plain path length by more than 1e-12, so the loop terminates. On
-    asymmetric costs the reversal also turns the segment's own edges
-    around; their deltas, each exactly 0.0 on a symmetric matrix, are
-    added once the two end edges alone gain enough."""
-    return _two_opt(order, np.asarray(cost).tolist())
-
-
 def _two_opt(order, cost) -> tuple:
-    """two_opt_path on cost rows given as lists."""
+    """First-improvement 2-opt for an open path with a fixed first vertex
+    and a free end, on cost rows given as lists. Reversing order[i..j] is
+    accepted only when it shortens the plain path length by more than
+    1e-12, so the loop terminates. On asymmetric costs the reversal also
+    turns the segment's own edges around; their deltas, each exactly 0.0
+    on a symmetric matrix, are added once the two end edges alone gain
+    enough."""
     order = list(order)
     n = len(order)
     # a pair whose four positions all lie before the last reversed segment

@@ -39,6 +39,13 @@ REPLAN_DELTA = 0.2
 # a phi_g array pass holds at most the samples of RAY_CHUNK cells' rays
 # marched over the whole range, whatever the block its live rays are in
 RAY_CHUNK = 8
+# mean shift, distances in grid cells: the kernel bandwidth, the move
+# below which every center has converged, the cap on its iterations, and
+# the distance within which converged centers merge into one goal
+BANDWIDTH = 8.0
+CONVERGE_TOL = 0.1
+MAX_ITER = 50
+MERGE_DIST = 4.0
 
 
 @dataclass(frozen=True)
@@ -112,24 +119,6 @@ def _numbers(value) -> bool:
 
 
 @dataclass(frozen=True)
-class ClusterConfig:
-    """Mean-shift settings, distances in grid cells."""
-    bandwidth: float = 8.0
-    converge_tol: float = 0.1
-    merge_dist: float = 4.0
-    max_iter: int = 50
-
-    def __post_init__(self):
-        _require(self, "bandwidth", self.bandwidth > 0, "must be positive")
-        _require(self, "converge_tol", self.converge_tol > 0,
-                 "must be positive")
-        _require(self, "merge_dist", self.merge_dist >= 0,
-                 "must be nonnegative")
-        _require(self, "max_iter", _integral(self.max_iter)
-                 and self.max_iter >= 1, "must be an integer of at least 1")
-
-
-@dataclass(frozen=True)
 class ExploreConfig:
     success_dist: float = 5.0  # meters
     max_steps: int = 20_000
@@ -153,10 +142,6 @@ def _require(cfg, name: str, ok: bool, rule: str) -> None:
                          f"got {getattr(cfg, name)!r}")
 
 
-# the mean-shift settings of every replan
-CLUSTER = ClusterConfig()
-
-
 def _cell_array(cells) -> np.ndarray:
     return np.asarray(cells, dtype=np.intp).reshape(-1, 2)
 
@@ -174,13 +159,6 @@ def _phi_unknown_cells(labels: np.ndarray, cells: np.ndarray,
     c0, c1 = np.maximum(c - window, 0), np.minimum(c + window + 1, w)
     count = table[r1, c1] - table[r0, c1] - table[r1, c0] + table[r0, c0]
     return count / ((r1 - r0) * (c1 - c0))
-
-
-def phi_unknown(grid: OccupancyGrid, cell, window: int = WINDOW) -> float:
-    """Unknown fraction of the (2w+1)^2 square around cell, clipped at the
-    borders; the denominator counts only in-bounds cells."""
-    return float(_phi_unknown_cells(grid.labels, _cell_array(cell),
-                                    window)[0])
 
 
 def _phi_geometric_cells(labels: np.ndarray, cells: np.ndarray,
@@ -259,21 +237,6 @@ def _phi_geometric_cells(labels: np.ndarray, cells: np.ndarray,
     return hits / len(fan)
 
 
-def phi_geometric(grid: OccupancyGrid, cell, bearing: float,
-                  fov: float = PHI_G_FOV, rays: int = RAYS,
-                  ray_step: float = RAY_STEP,
-                  max_range_cells: float | None = None) -> float:
-    """Fraction of rays from the cell, fanned over fov about bearing, that
-    reach an Unknown cell before an Occupied one. Leaving the grid counts
-    as reaching Unknown; running out of range counts as neither. The range
-    defaults to SENSOR_RADIUS in cells, as exploration scores with."""
-    if max_range_cells is None:
-        max_range_cells = SENSOR_RADIUS / grid.resolution
-    return float(_phi_geometric_cells(
-        grid.labels, _cell_array(cell), np.array([bearing], dtype=np.float64),
-        fov, rays, ray_step, max_range_cells)[0])
-
-
 def _phi_object_cells(prior: PriorField, grid: OccupancyGrid,
                       cells: np.ndarray) -> list:
     """phi_o of each cell: Mahalanobis terms for all cells at once per
@@ -292,12 +255,6 @@ def _phi_object_cells(prior: PriorField, grid: OccupancyGrid,
         for i, e in enumerate((-0.5 * m).tolist()):
             best[i] = max(best[i], math.exp(e))
     return best
-
-
-def phi_object(prior: PriorField, grid: OccupancyGrid, cell) -> float:
-    """Max over the prior's Gaussians of the peak-normalized density at the
-    cell center. Empty mixture scores 0."""
-    return _phi_object_cells(prior, grid, _cell_array(cell))[0]
 
 
 def assign_probability(grid: OccupancyGrid, frontiers, prior: PriorField,
@@ -327,32 +284,27 @@ class GoalCluster:
     prob: float
 
 
-def mean_shift(points: np.ndarray, weights: np.ndarray,
-               cfg: ClusterConfig) -> np.ndarray:
+def mean_shift(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Run the weighted mean-shift update from every point until movement
-    drops below converge_tol (or max_iter). All-zero weights fall back to
+    drops below CONVERGE_TOL (or MAX_ITER). All-zero weights fall back to
     uniform so the shift still averages positions."""
     pts = np.asarray(points, dtype=np.float64)
     w_p = np.asarray(weights, dtype=np.float64)
     if not np.any(w_p > 0):
         w_p = np.ones(len(pts))
     centers = pts.copy()
-    two_bw2 = 2.0 * cfg.bandwidth * cfg.bandwidth
-    # division is several times slower than multiplication. When two_bw2
-    # is a power of two with a finite reciprocal, that reciprocal is exact,
-    # and x / -two_bw2 and x * (-1 / two_bw2) are both the correctly
-    # rounded value of one real number, so they give the same double
-    inverse = -1.0 / two_bw2
-    exact_inverse = math.frexp(two_bw2)[0] == 0.5 and math.isfinite(inverse)
+    # 2 * BANDWIDTH ** 2 is 128, a power of two, so its reciprocal is exact
+    # and multiplying by it gives the same doubles as dividing, faster
+    inverse = -1.0 / (2.0 * BANDWIDTH * BANDWIDTH)
     # px[i, j] = pts[j, 0]: subtracting a full (F, F) array is about twice
     # as fast as broadcasting a row against a column of centers
     px = np.tile(pts[:, 0], (len(pts), 1))
     py = np.tile(pts[:, 1], (len(pts), 1))
     w = np.empty_like(px)
     dy = np.empty_like(px)
-    for _ in range(cfg.max_iter):
-        # w = w_p * exp(-|c - p|^2 / two_bw2), built in place on two (F, F)
-        # arrays with the same operations as the broadcast form
+    for _ in range(MAX_ITER):
+        # w = w_p * exp(-|c - p|^2 / (2 * BANDWIDTH ** 2)), built in place
+        # on two (F, F) arrays with the same operations as the broadcast form
         np.copyto(w, centers[:, 0, None])
         w -= px
         np.copyto(dy, centers[:, 1, None])
@@ -360,32 +312,28 @@ def mean_shift(points: np.ndarray, weights: np.ndarray,
         w *= w
         dy *= dy
         w += dy
-        if exact_inverse:
-            w *= inverse
-        else:
-            w /= -two_bw2
+        w *= inverse
         np.exp(w, out=w)
         w *= w_p
         newc = (w @ pts) / w.sum(axis=1, keepdims=True)
         move = np.sqrt(((newc - centers) ** 2).sum(axis=1))
         centers = newc
-        if np.all(move < cfg.converge_tol):
+        if np.all(move < CONVERGE_TOL):
             break
     return centers
 
 
-def cluster_goals(grid: OccupancyGrid, frontiers, probs,
-                  cfg: ClusterConfig) -> list:
+def cluster_goals(grid: OccupancyGrid, frontiers, probs) -> list:
     """Condense frontier cells into goal clusters: converge each point by
-    mean shift, merge converged centers within merge_dist, take the max
+    mean shift, merge converged centers within MERGE_DIST, take the max
     member probability, and snap each merged center to the nearest Free
     cell. Deterministic for a fixed input order."""
     if len(frontiers) == 0:
         return []
     pts = np.asarray(frontiers, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
-    centers = mean_shift(pts, probs, cfg)
-    # Each center joins the first earlier anchor within merge_dist, or else
+    centers = mean_shift(pts, probs)
+    # Each center joins the first earlier anchor within MERGE_DIST, or else
     # becomes an anchor. Taking the anchors in order, an anchor claims every
     # later center that no earlier anchor has claimed.
     groups = []
@@ -395,7 +343,7 @@ def cluster_goals(grid: OccupancyGrid, frontiers, probs,
     for a, (x, y) in enumerate(zip(cx.tolist(), cy.tolist())):
         if claimed[a]:
             continue
-        near = np.hypot(cx - x, cy - y) <= cfg.merge_dist
+        near = np.hypot(cx - x, cy - y) <= MERGE_DIST
         near[a] = True
         near &= ~claimed
         claimed |= near
@@ -509,9 +457,9 @@ class ExploreLog:
         return "\n".join(out) + "\n"
 
 
-def _goal_alive(frontiers, goal, merge_dist) -> bool:
+def _goal_alive(frontiers, goal) -> bool:
     gr, gc = goal
-    lim = merge_dist * merge_dist
+    lim = MERGE_DIST * MERGE_DIST
     for (r, c) in frontiers:
         if (r - gr) * (r - gr) + (c - gc) * (c - gc) <= lim:
             return True
@@ -580,7 +528,7 @@ def run_exploration(world: WorldModel, prior: PriorField, planner: str,
         # means goal is set, differs from robot and fcount_at_plan > 0
         need_replan = (
             not path
-            or not _goal_alive(frontiers, goal, CLUSTER.merge_dist)
+            or not _goal_alive(frontiers, goal)
             or abs(fcount - fcount_at_plan) > REPLAN_DELTA * fcount_at_plan
         )
         replanned = False
@@ -589,7 +537,7 @@ def run_exploration(world: WorldModel, prior: PriorField, planner: str,
             fcount_at_plan = fcount
             probs = assign_probability(grid, frontiers, prior, robot,
                                        radius_cells)
-            goals = cluster_goals(grid, frontiers, probs, CLUSTER)
+            goals = cluster_goals(grid, frontiers, probs)
             clusters_n = len(goals)
             inst, cells, _dropped, tree = build_search_graph(grid, goals,
                                                              robot)

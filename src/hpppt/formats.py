@@ -135,12 +135,16 @@ def parse_hpt(text: str) -> Instance:
                 ints[key] = int(toks[1])
             except (IndexError, ValueError):
                 raise FormatError(f"line {lineno}: bad {key} record") from None
+            if key == "N" and ints["N"] < 1:
+                raise FormatError(f"line {lineno}: N must be positive")
         elif key == "PROB":
             prob = _floats(toks[1:], lineno, "probability")
             prob, i = _reals(lines, i, prob, n, "probability", "probabilities")
         elif key == "COORDS":
             vals, i = _reals(lines, i, [], 2 * n, "coordinate",
                              "coordinate values")
+            if not all(map(math.isfinite, vals)):
+                raise FormatError(f"line {lineno}: coordinates must be finite")
             coords = np.array(vals, dtype=np.float64).reshape(n, 2)
         else:
             if len(toks) < 2 or toks[1].upper() != "FULL":
@@ -157,7 +161,11 @@ def parse_hpt(text: str) -> Instance:
     if prob is None:
         raise FormatError("missing PROB record")
     if coords is not None:
-        cost = euclidean_costs(coords)
+        with np.errstate(over="ignore"):
+            cost = euclidean_costs(coords)
+        if not np.isfinite(cost).all():
+            raise FormatError(f"line {first['COORDS or MATRIX']}: a distance "
+                              "between coordinates overflows")
     elif matrix is not None:
         cost = matrix
     else:
@@ -195,6 +203,9 @@ def parse_tsplib(text: str) -> Instance:
                     dim = int(val)
                 except ValueError:
                     raise FormatError(f"line {lineno}: bad DIMENSION") from None
+                if dim < 1:
+                    raise FormatError(
+                        f"line {lineno}: DIMENSION must be positive")
             elif key == "EDGE_WEIGHT_TYPE":
                 ewt = val.upper()
             elif key == "EDGE_WEIGHT_FORMAT":
@@ -235,10 +246,15 @@ def parse_tsplib(text: str) -> Instance:
                 f"expected {n} coordinate rows, got {len(coord_vals)}")
         coords = np.array(coord_vals, dtype=np.float64)
         cost = np.zeros((n, n))
+        # Python floats, whose subtraction overflows to inf without a warning
+        pts = coords.tolist()
         for i in range(n):
             for j in range(i + 1, n):
-                d = math.hypot(coords[i, 0] - coords[j, 0],
-                               coords[i, 1] - coords[j, 1])
+                d = math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
+                if not math.isfinite(d):
+                    raise FormatError(
+                        f"nodes {i + 1} and {j + 1} are {d} apart under "
+                        "EUC_2D; costs must be finite")
                 w = _tsplib_nint(d)
                 if w == 0.0:
                     raise FormatError(

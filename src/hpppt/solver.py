@@ -284,13 +284,9 @@ class SearchState:
         return self.g + self.h
 
 
-@dataclass(frozen=True)
-class HeuristicTable:
-    gamma: np.ndarray  # gamma[v, k]: discounted k-hop relaxation from v
-
-
-def build_heuristic_table(inst: Instance) -> HeuristicTable:
-    """gamma[v, 0] = 0; gamma[v, k] = (1-p(v)) * min over u != v of
+def build_heuristic_table(inst: Instance) -> np.ndarray:
+    """The read-only table gamma[v, k], a discounted k-hop relaxation from
+    v: gamma[v, 0] = 0; gamma[v, k] = (1-p(v)) * min over u != v of
     (cost(v, u) + gamma[u, k-1]). Revisits are allowed, which keeps the
     recursion quadratic and the bound admissible."""
     n = inst.n
@@ -307,16 +303,7 @@ def build_heuristic_table(inst: Instance) -> HeuristicTable:
             np.minimum.reduce(buf, axis=0, out=rows[k])
             rows[k] *= omp
     rows.setflags(write=False)
-    return HeuristicTable(rows.T)
-
-
-def heuristic_value(table: HeuristicTable, inst: Instance,
-                    s: SearchState) -> float:
-    """Lower bound on the expected cost to finish from s."""
-    k = inst.n - s.size
-    if k <= 0:
-        return 0.0
-    return float(s.q / (1.0 - inst.prob[s.v]) * table.gamma[s.v, k])
+    return rows.T
 
 
 def _tree_tails(rem, csym, omp):
@@ -562,7 +549,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     f0 = 0.0
     if cfg.use_heuristic:
         # hrows[k][v] = gamma[v, k]
-        hrows = build_heuristic_table(inst).gamma.T.tolist()
+        hrows = build_heuristic_table(inst).T.tolist()
         f0 = hrows[n - 1][start]
     else:
         # c + 0.0 == c, so f = g + q * (c + 0.0) is g to the bit

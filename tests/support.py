@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from hpppt import Instance
+from hpppt import Instance, check_path
 
 
 def random_instance(rng, n, p_max=0.9, euclidean=True):
@@ -40,6 +40,30 @@ def expected_cost_by_cases(inst, order):
         dist = sum(inst.cost[order[j], order[j + 1]] for j in range(k))
         total += survive * stop * dist
     return total
+
+
+def expected_cost_direct(inst: Instance, order) -> float:
+    """Expected cost of a solution path, summed termination case by case.
+
+    Term k covers the event that the walk ends at the (k+1)-th vertex and
+    charges the distance travelled up to it; the final term carries no
+    termination factor because the walk ends at the last vertex regardless.
+    """
+    order = check_path(inst, order, full=True)
+    n = inst.n
+    if n == 1:
+        return 0.0
+    cost = inst.cost
+    prob = inst.prob
+    total = 0.0
+    q_pref = 1.0
+    length = 0.0
+    for k in range(1, n):
+        q_pref *= 1.0 - prob[order[k - 1]]
+        length += cost[order[k - 1], order[k]]
+        factor = prob[order[k]] if k < n - 1 else 1.0
+        total += q_pref * factor * length
+    return float(total)
 
 
 def brute_force_best(inst):

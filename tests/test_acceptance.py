@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from hpppt import (GroundTruth, Instance, MissionConfig, SensorModel,
-                   SolverConfig, blind_hpp_solve, expected_cost_direct,
-                   expected_cost_q, generate_random, greedy_solve,
-                   oracle_solve, run_mission, solve, update)
+                   SolverConfig, blind_hpp_solve, expected_cost_q,
+                   generate_random, greedy_solve, oracle_solve, run_mission,
+                   solve, update)
 from hpppt.bench import make_instance
 from hpppt.cli import main as cli_main
 from hpppt.exploration import (PriorField, forest_world, run_exploration,
                                sample_start, with_start)
-from support import completion_table, random_instance
+from support import completion_table, expected_cost_direct, random_instance
 
 _SHARED: dict = {}
 

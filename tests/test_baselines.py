@@ -10,8 +10,9 @@ import pytest
 
 import hpppt
 from hpppt import (ORACLE_CAP, Instance, OracleCapError, blind_hpp_solve,
-                   expected_cost_q, greedy_solve, nearest_neighbor,
-                   oracle_solve, require_metric, solve, two_opt_path)
+                   expected_cost_q, greedy_solve, oracle_solve,
+                   require_metric, solve)
+from hpppt.baselines import _nearest_order, _two_opt
 from hpppt.bench import make_instance
 from support import brute_force_best, completion_table, random_instance
 
@@ -75,7 +76,7 @@ def test_greedy_orders_by_probability_then_index():
 def test_nearest_neighbor_tie_smaller_index():
     inst = Instance([[0, 2, 2, 5], [2, 0, 3, 5], [2, 3, 0, 5], [5, 5, 5, 0]],
                     [0.0, 0.0, 0.0, 0.0], 0)
-    assert nearest_neighbor(inst) == (0, 1, 2, 3)
+    assert _nearest_order(inst.cost.tolist(), 0) == (0, 1, 2, 3)
 
 
 def test_two_opt_improves_crossing_path():
@@ -83,7 +84,7 @@ def test_two_opt_improves_crossing_path():
     pts = np.array([[0, 0], [10, 0], [10, 10], [0, 10]], dtype=float)
     cost = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(2))
     crossed = (0, 2, 1, 3)
-    fixed = two_opt_path(crossed, cost)
+    fixed = _two_opt(crossed, cost.tolist())
 
     def plen(order):
         return sum(cost[a, b] for a, b in zip(order, order[1:]))
@@ -98,8 +99,8 @@ def test_two_opt_never_worsens():
     for _ in range(20):
         n = int(rng.integers(4, 12))
         inst = random_instance(rng, n)
-        start = nearest_neighbor(inst)
-        out = two_opt_path(start, inst.cost)
+        start = _nearest_order(inst.cost.tolist(), inst.start)
+        out = _two_opt(start, inst.cost.tolist())
 
         def plen(order):
             return sum(inst.cost[a, b] for a, b in zip(order, order[1:]))
@@ -109,7 +110,7 @@ def test_two_opt_never_worsens():
 
 
 def _rescored_two_opt(order, cost):
-    """2-opt by the rule of two_opt_path, scoring each reversal on the
+    """2-opt by the rule of _two_opt, scoring each reversal on the
     whole path: the first (i, j) in row-major order whose two end edges
     and whole path both shorten by more than 1e-12, repeated until none
     does."""
@@ -158,10 +159,11 @@ def test_two_opt_ends_on_asymmetric_costs():
         cases.append((order, m.tolist()))
     code = textwrap.dedent("""
         import json, sys
-        from hpppt import Instance, blind_hpp_solve, two_opt_path
+        from hpppt import Instance, blind_hpp_solve
+        from hpppt.baselines import _two_opt
         cost, prob, cases = json.load(sys.stdin)
         out = [blind_hpp_solve(Instance(cost, prob, 0)).path]
-        out += [two_opt_path(order, m) for order, m in cases]
+        out += [_two_opt(order, m) for order, m in cases]
         print(json.dumps(out))
     """)
     src = os.path.dirname(os.path.dirname(hpppt.__file__))
@@ -173,7 +175,8 @@ def test_two_opt_ends_on_asymmetric_costs():
         input=json.dumps([cost.tolist(), inst.prob.tolist(), cases]))
     assert proc.returncode == 0, proc.stderr
     out = [tuple(order) for order in json.loads(proc.stdout)]
-    assert out[0] == _rescored_two_opt(nearest_neighbor(inst), cost)
+    assert out[0] == _rescored_two_opt(_nearest_order(cost.tolist(), 0),
+                                       cost)
     for (order, m), got in zip(cases, out[1:]):
         assert got == _rescored_two_opt(order, m)
 
@@ -259,10 +262,11 @@ def test_nearest_neighbor_and_two_opt_match_numpy_reference():
         near[a, b] = near[b, a] = 1.0 - gain
     cases += [Instance(near, np.zeros(8), 0)]
     for inst in cases:
-        nn = nearest_neighbor(inst)
+        cost = inst.cost.tolist()
+        nn = _nearest_order(cost, inst.start)
         assert nn == _reference_nearest_neighbor(inst)
         by_index = (inst.start,) + tuple(v for v in range(inst.n)
                                          if v != inst.start)
         for order in (nn, by_index):
-            assert (two_opt_path(order, inst.cost)
+            assert (_two_opt(order, cost)
                     == _reference_two_opt(order, inst.cost))

@@ -2,23 +2,23 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import hpppt.exploration
 import hpppt.lifelong
-from hpppt.exploration import (PRIOR_WEIGHTS, ClusterConfig, ExploreConfig,
-                               GoalCluster, PriorField, _phi_geometric_cells,
+from hpppt.exploration import (PHI_G_FOV, PRIOR_WEIGHTS, ExploreConfig,
+                               GoalCluster, PriorField, _cell_array,
+                               _phi_geometric_cells,
+                               _phi_object_cells, _phi_unknown_cells,
                                _plan_goal, assign_probability,
                                build_search_graph, cluster_goals,
-                               forest_world, mean_shift, phi_geometric,
-                               phi_object, phi_unknown, run_exploration,
+                               forest_world, mean_shift, run_exploration,
                                sample_start, with_start)
-from hpppt.grid import (FREE, OCCUPIED, SENSOR_RADIUS, UNKNOWN, OccupancyGrid,
-                        WorldModel, extract_frontiers, parse_world, reveal,
-                        shortest_path_cells, tree_path)
+from hpppt.grid import (FREE, OCCUPIED, RAY_STEP, RAYS, SENSOR_RADIUS,
+                        UNKNOWN, OccupancyGrid, WorldModel, extract_frontiers,
+                        parse_world, reveal, shortest_path_cells, tree_path)
 from hpppt.instance import PROB_CLAMP, Instance
 from hpppt.solver import SolveResult
 
@@ -69,60 +69,60 @@ def test_prior_field_from_config():
     assert PriorField.from_config({}).weights == (0.3, 0.2, 0.5)
 
 
+# one cell's factors, through the array forms that exploration scores with
+def _phi_u(grid, cell, window):
+    return _phi_unknown_cells(grid.labels, _cell_array(cell), window)[0]
+
+
+def _phi_g(grid, cell, bearing, fov, rays, ray_step, max_range_cells):
+    return _phi_geometric_cells(grid.labels, _cell_array(cell),
+                                np.array([bearing]), fov, rays, ray_step,
+                                max_range_cells)[0]
+
+
+def _phi_o(prior, grid, cell):
+    return _phi_object_cells(prior, grid, _cell_array(cell))[0]
+
+
 def test_phi_unknown_counts_in_window():
     lab = np.full((3, 3), UNKNOWN, dtype=np.uint8)
     lab[1, 1] = FREE
     g = OccupancyGrid(lab)
-    assert phi_unknown(g, (1, 1), window=1) == pytest.approx(8.0 / 9.0)
+    assert _phi_u(g, (1, 1), 1) == pytest.approx(8.0 / 9.0)
     # at a corner the window clips to 2x2 cells
-    assert phi_unknown(g, (0, 0), window=1) == pytest.approx(3.0 / 4.0)
-    assert phi_unknown(OccupancyGrid(np.full((3, 3), FREE, dtype=np.uint8)),
-                       (1, 1), window=1) == 0.0
+    assert _phi_u(g, (0, 0), 1) == pytest.approx(3.0 / 4.0)
+    assert _phi_u(OccupancyGrid(np.full((3, 3), FREE, dtype=np.uint8)),
+                  (1, 1), 1) == 0.0
 
 
 def test_phi_geometric_open_versus_walled():
     lab = np.full((3, 3), UNKNOWN, dtype=np.uint8)
     lab[1, 1] = FREE
     open_g = OccupancyGrid(lab)
-    assert phi_geometric(open_g, (1, 1), bearing=0.0,
-                         max_range_cells=20.0) == pytest.approx(1.0)
+    assert _phi_g(open_g, (1, 1), 0.0, PHI_G_FOV, RAYS, RAY_STEP,
+                  20.0) == pytest.approx(1.0)
 
     ring = np.full((5, 5), FREE, dtype=np.uint8)
     ring[1:4, 1:4] = OCCUPIED
     ring[2, 2] = FREE
     walled = OccupancyGrid(ring)
-    assert phi_geometric(walled, (2, 2), bearing=1.0,
-                         max_range_cells=20.0) == 0.0
+    assert _phi_g(walled, (2, 2), 1.0, PHI_G_FOV, RAYS, RAY_STEP,
+                  20.0) == 0.0
 
     # fully known free space within range: no ray finds unknown
     room = OccupancyGrid(np.full((41, 41), FREE, dtype=np.uint8))
-    assert phi_geometric(room, (20, 20), bearing=0.0,
-                         max_range_cells=10.0) == 0.0
-
-
-def test_phi_geometric_range_defaults_to_the_sensor_radius():
-    """Unknown space 16 cells east of the cell lies beyond the sensor
-    radius in cells (10 at resolution 1, 5 at resolution 2), which
-    exploration scores with, but within a 20-cell range."""
-    lab = np.full((61, 61), FREE, dtype=np.uint8)
-    lab[:, 46:] = UNKNOWN
-    for res in (1.0, 2.0):
-        grid = OccupancyGrid(lab, res)
-        assert phi_geometric(grid, (30, 30), bearing=0.0) == phi_geometric(
-            grid, (30, 30), bearing=0.0,
-            max_range_cells=SENSOR_RADIUS / res) == 0.0
-        assert phi_geometric(grid, (30, 30), bearing=0.0,
-                             max_range_cells=20.0) > 0.0
+    assert _phi_g(room, (20, 20), 0.0, PHI_G_FOV, RAYS, RAY_STEP,
+                  10.0) == 0.0
 
 
 def test_phi_object_peaks_at_gaussian_mean():
     g = OccupancyGrid(np.full((6, 6), FREE, dtype=np.uint8))
     mean = g.center((2, 3))
     prior = PriorField(gaussians=((mean, ((1, 0), (0, 1))),))
-    assert phi_object(prior, g, (2, 3)) == pytest.approx(1.0)
+    assert _phi_o(prior, g, (2, 3)) == pytest.approx(1.0)
     # one cell east: squared Mahalanobis distance 1
-    assert phi_object(prior, g, (2, 4)) == pytest.approx(math.exp(-0.5))
-    assert phi_object(PRIOR, g, (2, 3)) == 0.0  # empty mixture
+    assert _phi_o(prior, g, (2, 4)) == pytest.approx(math.exp(-0.5))
+    assert _phi_o(PRIOR, g, (2, 3)) == 0.0  # empty mixture
 
 
 def test_assign_probability_clamps_and_weights():
@@ -144,8 +144,7 @@ def test_assign_probability_clamps_and_weights():
 def test_mean_shift_finds_two_groups():
     pts = np.array([[0, 0], [1, 0], [0, 1], [20, 20], [21, 20], [20, 21]],
                    dtype=float)
-    cfg = ClusterConfig(bandwidth=3.0)
-    centers = mean_shift(pts, np.ones(6), cfg)
+    centers = mean_shift(pts, np.ones(6))
     lo = centers[:3].mean(axis=0)
     hi = centers[3:].mean(axis=0)
     assert np.hypot(*(lo - [1 / 3, 1 / 3])) < 1.0
@@ -156,7 +155,7 @@ def test_mean_shift_finds_two_groups():
 
 def test_mean_shift_zero_weights_fall_back_to_uniform():
     pts = np.array([[0.0, 0.0], [2.0, 0.0]])
-    centers = mean_shift(pts, np.zeros(2), ClusterConfig(bandwidth=10.0))
+    centers = mean_shift(pts, np.zeros(2))
     assert centers[0] == pytest.approx([1.0, 0.0], abs=0.2)
 
 
@@ -164,14 +163,14 @@ def test_cluster_goals_merges_and_keeps_max_prob():
     g = OccupancyGrid(np.full((30, 30), FREE, dtype=np.uint8))
     frontiers = [(0, 0), (1, 0), (0, 1), (20, 20), (21, 20), (20, 21)]
     probs = [0.1, 0.6, 0.2, 0.3, 0.9, 0.3]
-    out = cluster_goals(g, frontiers, probs, ClusterConfig(bandwidth=3.0))
+    out = cluster_goals(g, frontiers, probs)
     assert len(out) == 2
     a, b = out
     assert a.prob == pytest.approx(0.6)
     assert b.prob == pytest.approx(0.9)
     assert max(abs(a.cell[0] - 0), abs(a.cell[1] - 0)) <= 2
     assert max(abs(b.cell[0] - 20), abs(b.cell[1] - 20)) <= 2
-    assert cluster_goals(g, [], [], ClusterConfig()) == []
+    assert cluster_goals(g, [], []) == []
 
 
 def test_cluster_goals_snaps_to_free_cell():
@@ -179,7 +178,7 @@ def test_cluster_goals_snaps_to_free_cell():
     lab[0, 0] = FREE
     lab[4, 4] = FREE
     g = OccupancyGrid(lab)
-    out = cluster_goals(g, [(4, 3)], [0.5], ClusterConfig())
+    out = cluster_goals(g, [(4, 3)], [0.5])
     assert out[0].cell == (4, 4)
 
 
@@ -373,13 +372,6 @@ def test_exploration_frontier_counts_logged():
     (ExploreConfig, "max_steps", float("nan")),
     (ExploreConfig, "max_steps", True),
     (ExploreConfig, "plan_time_limit", 0.0),
-    (ClusterConfig, "bandwidth", 0.0),
-    (ClusterConfig, "converge_tol", -1.0),
-    (ClusterConfig, "merge_dist", -0.5),
-    (ClusterConfig, "max_iter", 0),
-    (ClusterConfig, "max_iter", 2.5),
-    (ClusterConfig, "max_iter", np.float64(50.0)),
-    (ClusterConfig, "max_iter", True),
 ])
 def test_config_rejects_values_that_cannot_take_effect(cls, name, value):
     with pytest.raises(ValueError, match=rf"{cls.__name__}\.{name} "):
@@ -387,10 +379,8 @@ def test_config_rejects_values_that_cannot_take_effect(cls, name, value):
 
 
 def test_config_accepts_boundary_values():
-    ClusterConfig(merge_dist=0.0)
     ExploreConfig(max_steps=0, plan_time_limit=None)
     # numpy integers count as integers
-    ClusterConfig(max_iter=np.int64(1))
     ExploreConfig(max_steps=np.int64(0))
 
 
@@ -419,18 +409,24 @@ def test_exploration_defaults_read_one_name_each():
 # mean_shift and assign_probability compute in fewer array passes; the
 # results must agree bit for bit, not approximately.
 
-def _reference_mean_shift(pts, weights, cfg):
+def _reference_mean_shift(pts, weights):
+    """At the module's BANDWIDTH, MAX_ITER and CONVERGE_TOL, as they stand
+    when called."""
+    m = hpppt.exploration
     if not np.any(weights > 0):
         weights = np.ones(len(pts))
     centers = pts.copy()
-    two_bw2 = 2.0 * cfg.bandwidth * cfg.bandwidth
-    for _ in range(cfg.max_iter):
+    # mean_shift multiplies by the reciprocal; at the default BANDWIDTH
+    # 2 * BANDWIDTH ** 2 is 128, whose reciprocal is exact, so this is
+    # also the same doubles as dividing by it
+    inverse = -1.0 / (2.0 * m.BANDWIDTH * m.BANDWIDTH)
+    for _ in range(m.MAX_ITER):
         d2 = ((centers[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        w = weights[None, :] * np.exp(-d2 / two_bw2)
+        w = weights[None, :] * np.exp(d2 * inverse)
         newc = (w @ pts) / w.sum(axis=1, keepdims=True)
         move = np.sqrt(((newc - centers) ** 2).sum(axis=1))
         centers = newc
-        if np.all(move < cfg.converge_tol):
+        if np.all(move < m.CONVERGE_TOL):
             break
     return centers
 
@@ -551,23 +547,24 @@ def test_per_cell_factors_equal_reference():
     prior = TWO_GAUSSIANS
     for cell in cells:
         for window in (0, 1, 5):
-            assert phi_unknown(grid, cell, window) == _ref_phi_unknown(
+            assert _phi_u(grid, cell, window) == _ref_phi_unknown(
                 grid, cell, window)
         for bearing, fov, rays in ((0.0, 1.0, 1), (1.3, math.pi / 2, 180),
                                    (-2.9, 2.0 * math.pi, 33)):
-            assert phi_geometric(grid, cell, bearing, fov, rays, 0.5,
-                                 10.0) == _ref_phi_geometric(
+            assert _phi_g(grid, cell, bearing, fov, rays, 0.5,
+                          10.0) == _ref_phi_geometric(
                 grid, cell, bearing, fov, rays, 0.5, 10.0)
-        assert phi_object(prior, grid, cell) == _ref_phi_object(
+        assert _phi_o(prior, grid, cell) == _ref_phi_object(
             prior, grid, cell)
-        assert phi_object(PRIOR, grid, cell) == 0.0
+        assert _phi_o(PRIOR, grid, cell) == 0.0
 
 
-# 2 * bandwidth ** 2 is 18 (divided), 128 and 0.5 (powers of two, multiplied
-# by the reciprocal) and 4.000000000000001 (divided)
+# 2 * bandwidth ** 2 is 18, 128 (the default) and 0.5 (powers of two) and
+# 4.000000000000001
 @pytest.mark.parametrize("bandwidth", [3.0, 8.0, 0.5, math.sqrt(2.0)])
 @pytest.mark.parametrize("weights", ["probs", "zeros"])
-def test_mean_shift_equals_broadcast_reference(bandwidth, weights):
+def test_mean_shift_equals_broadcast_reference(monkeypatch, bandwidth,
+                                               weights):
     world, grid, robot = _partly_revealed_forest()
     cells = extract_frontiers(grid)
     pts = np.asarray(cells, dtype=np.float64)
@@ -576,34 +573,39 @@ def test_mean_shift_equals_broadcast_reference(bandwidth, weights):
                                robot, 10.0)
     else:
         w = np.zeros(len(pts))
-    cfg = ClusterConfig(bandwidth=bandwidth)
-    got = mean_shift(pts, w, cfg)
-    assert got.tolist() == _reference_mean_shift(pts, w, cfg).tolist()
-    # smaller and larger inputs, and runs that stop early
+    monkeypatch.setattr(hpppt.exploration, "BANDWIDTH", bandwidth)
+    got = mean_shift(pts, w)
+    assert got.tolist() == _reference_mean_shift(pts, w).tolist()
+    # smaller and larger inputs, and runs that stop early, with the
+    # constants that each run sets
     rng = np.random.default_rng(11)
     big = rng.integers(0, 100, size=(320, 2)).astype(np.float64)
     big_w = rng.uniform(0.0, 1.0, len(big)) * (weights == "probs")
     twice = np.repeat(pts[:6], 2, axis=0)
-    for p, pw, c in (
-            (pts[:1], w[:1], cfg),
-            (pts[:2], w[:2], cfg),
-            (twice, np.repeat(w[:6], 2), cfg),
-            (np.full((5, 2), 7.0), w[:5], cfg),
-            (pts, w, replace(cfg, max_iter=1)),
-            (pts, w, replace(cfg, converge_tol=1e3)),
-            (pts, w, replace(cfg, converge_tol=0.5)),
-            (big, big_w, cfg)):
-        got = mean_shift(p, pw, c)
-        assert got.tolist() == _reference_mean_shift(p, pw, c).tolist()
+    for p, pw, consts in (
+            (pts[:1], w[:1], {}),
+            (pts[:2], w[:2], {}),
+            (twice, np.repeat(w[:6], 2), {}),
+            (np.full((5, 2), 7.0), w[:5], {}),
+            (pts, w, {"MAX_ITER": 1}),
+            (pts, w, {"CONVERGE_TOL": 1e3}),
+            (pts, w, {"CONVERGE_TOL": 0.5}),
+            (big, big_w, {})):
+        with monkeypatch.context() as mp:
+            for name, value in consts.items():
+                mp.setattr(hpppt.exploration, name, value)
+            got = mean_shift(p, pw)
+            assert got.tolist() == _reference_mean_shift(p, pw).tolist()
 
 
-def _reference_cluster_goals(grid, frontiers, probs, cfg):
+def _reference_cluster_goals(grid, frontiers, probs):
     pts = np.asarray(frontiers, dtype=np.float64)
-    centers = mean_shift(pts, probs, cfg)
+    centers = mean_shift(pts, probs)
     groups, anchors = [], []
     for i in range(len(centers)):
         for gi, anchor in enumerate(anchors):
-            if np.hypot(*(centers[i] - anchor)) <= cfg.merge_dist:
+            if np.hypot(*(centers[i] - anchor)) <= (
+                    hpppt.exploration.MERGE_DIST):
                 groups[gi].append(i)
                 break
         else:
@@ -622,14 +624,15 @@ def _reference_cluster_goals(grid, frontiers, probs, cfg):
 
 
 @pytest.mark.parametrize("merge_dist", [0.0, 1.5, 4.0, 12.0])
-def test_cluster_goals_equals_pairwise_anchor_reference(merge_dist):
+def test_cluster_goals_equals_pairwise_anchor_reference(monkeypatch,
+                                                        merge_dist):
+    monkeypatch.setattr(hpppt.exploration, "MERGE_DIST", merge_dist)
     world, grid, robot = _partly_revealed_forest()
     cells = extract_frontiers(grid)
     probs = assign_probability(grid, cells, _a11_prior(world, "accurate"),
                                robot, 10.0)
-    cfg = ClusterConfig(bandwidth=3.0, merge_dist=merge_dist)
-    assert cluster_goals(grid, cells, probs, cfg) == (
-        _reference_cluster_goals(grid, cells, probs, cfg))
+    assert cluster_goals(grid, cells, probs) == (
+        _reference_cluster_goals(grid, cells, probs))
 
 
 # sha256 of to_json_lines() for 150 rpt steps on the A11 forest, recorded

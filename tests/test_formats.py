@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from hpppt import (FormatError, Instance, MetricViolationError,
-                   UnsupportedFormatError, expected_cost_direct,
-                   generate_random, load_instance, parse_hpt, parse_tsplib,
-                   read_tour, save_instance, write_hpt)
+                   UnsupportedFormatError, generate_random, load_instance,
+                   parse_hpt, parse_tsplib, read_tour, save_instance,
+                   write_hpt)
 from hpppt.generate import assign_probabilities
+from support import expected_cost_direct
 
 TRI = Instance([[0, 1, 4], [1, 0, 2], [4, 2, 0]], [0.2, 0.5, 0.3], 0, "tri")
 
@@ -64,6 +65,9 @@ def test_parse_errors_name_the_line():
         parse_hpt("N 1\nSTART 0\nMATRIX FULL\n0\n")
     with pytest.raises(FormatError, match="expected 3 probabilities"):
         parse_hpt("N 3\nSTART 0\nPROB 0.1 0.2\nMATRIX FULL\n" + "0 " * 9)
+    for n in ("-1", "0"):
+        with pytest.raises(FormatError, match="^line 2: N must be positive$"):
+            parse_hpt(f"NAME x\nN {n}\nSTART 0\nPROB\nMATRIX FULL\n")
 
 
 HEAD = ["NAME tri", "N 3", "START 0", "SEED 5", "PROB 0.2 0.5 0.3"]
@@ -107,6 +111,17 @@ ONE_SECTION = "a second COORDS or MATRIX record, after line 6"
 def test_records_that_take_no_effect_are_rejected(lines, error):
     with pytest.raises(FormatError, match=f"^{error}"):
         parse_hpt("\n".join(lines) + "\n")
+
+
+# an infinite coordinate, NaN, and two finite ones whose distance overflows
+@pytest.mark.parametrize("rows, error", [
+    (["0 0", "3 0", "inf 4"], "coordinates must be finite"),
+    (["0 0", "3 nan", "3 4"], "coordinates must be finite"),
+    (["0 0", "-1e308 0", "1e308 4"],
+     "a distance between coordinates overflows")])
+def test_hpt_coords_that_are_not_finite_name_the_line(rows, error):
+    with pytest.raises(FormatError, match=f"^line 6: {error}$"):
+        parse_hpt("\n".join(HEAD + ["COORDS"] + rows) + "\n")
 
 
 def test_save_and_load(tmp_path):
@@ -193,6 +208,35 @@ def test_tsplib_euc2d_zero_rounded_distance_names_both_nodes():
     text = EUC_TSP.replace("3 3 4", "3 3.3 0.2")
     with pytest.raises(FormatError,
                        match="nodes 2 and 3 .*rounds to 0 under EUC_2D"):
+        parse_tsplib(text)
+
+
+# an infinite coordinate, two finite ones whose distance overflows, and NaN
+@pytest.mark.parametrize("node2, node3, apart", [
+    ("3 0", "inf 4", "1 and 3 are inf"),
+    ("-1e308 0", "1e308 4", "2 and 3 are inf"),
+    ("3 0", "3 nan", "1 and 3 are nan")])
+def test_tsplib_euc2d_distance_that_is_not_finite_names_both_nodes(
+        node2, node3, apart):
+    text = EUC_TSP.replace("2 3 0", f"2 {node2}").replace("3 3 4",
+                                                          f"3 {node3}")
+    with pytest.raises(FormatError,
+                       match=f"^nodes {apart} apart under EUC_2D"):
+        parse_tsplib(text)
+
+
+@pytest.mark.parametrize("dim", ["-2", "0"])
+def test_tsplib_dimension_below_one_names_the_line(dim):
+    text = f"""\
+NAME: empty
+DIMENSION: {dim}
+EDGE_WEIGHT_TYPE: EXPLICIT
+EDGE_WEIGHT_FORMAT: FULL_MATRIX
+EDGE_WEIGHT_SECTION
+EOF
+"""
+    with pytest.raises(FormatError,
+                       match="^line 2: DIMENSION must be positive$"):
         parse_tsplib(text)
 
 

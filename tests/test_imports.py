@@ -1,7 +1,8 @@
 """scipy serves only the grid shortest paths. Every other entry point,
 solve, bench and lifelong missions included, imports and runs without
 loading it; a grid search loads it on first use. A bench grid with one
-job runs without loading the process pool."""
+job runs without loading the process pool. hpppt.__all__ names each public
+name once, and `from hpppt import *` binds exactly those names."""
 
 import json
 import os
@@ -54,3 +55,14 @@ def test_only_grid_searches_load_scipy(tmp_path):
     assert out["path"] == [[2, 0], [2, 1], [2, 2], [1, 2], [0, 2], [0, 1],
                            [0, 0]]
     assert out["after"] is True
+
+
+def test_all_lists_each_public_name_once():
+    names = hpppt.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(hpppt, name), name
+    namespace = {}
+    exec("from hpppt import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(names)

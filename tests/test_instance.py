@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from hpppt import (Instance, InvalidInstanceError, InvalidPathError,
-                   MetricViolationError, check_path, expected_cost_direct,
-                   expected_cost_q, is_metric, is_solution_path,
-                   max_metric_violation, metric_closure, require_metric,
-                   solve)
+                   MetricViolationError, check_path, expected_cost_q,
+                   is_metric, max_metric_violation, metric_closure,
+                   require_metric, solve)
 from hpppt import instance as instance_mod
 from hpppt.bench import make_instance
 from hpppt.formats import load_instance, parse_hpt, save_instance
 from hpppt.instance import METRIC_REL_TOL, euclidean_costs
-from support import expected_cost_by_cases, random_instance
+from support import (expected_cost_by_cases, expected_cost_direct,
+                     random_instance)
 
 TRI = Instance([[0, 1, 4], [1, 0, 2], [4, 2, 0]], [0.2, 0.5, 0.3], 0, "tri")
 
@@ -367,5 +367,6 @@ def test_check_path():
         check_path(TRI, (0, 1, 1), full=True)  # repeat
     with pytest.raises(InvalidPathError):
         check_path(TRI, (0, 5), full=False)  # out of range
-    assert is_solution_path(TRI, (0, 1, 2))
-    assert not is_solution_path(TRI, (0, 1))
+    assert check_path(TRI, (0, 1, 2), full=True) == (0, 1, 2)
+    with pytest.raises(InvalidPathError):
+        check_path(TRI, (0, 1), full=True)

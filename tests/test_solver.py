@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from hpppt import (Instance, InvalidConfigError, SearchState, SolverConfig,
-                   build_heuristic_table, expected_cost_q,
-                   heuristic_value, is_metric, oracle_solve, solve)
+                   build_heuristic_table, expected_cost_q, is_metric,
+                   oracle_solve, solve)
 from hpppt import solver as solver_mod
-from hpppt.baselines import nearest_neighbor
+from hpppt.baselines import _nearest_order
 from hpppt.bench import make_instance
 from hpppt.solver import (TREE_FLOOR, _dive, _has_superset, _local_search,
                           _path_bound, _path_cost, _tree_tails)
@@ -16,8 +16,16 @@ from support import brute_force_best, completion_table, random_instance
 TRI = Instance([[0, 1, 4], [1, 0, 2], [4, 2, 0]], [0.2, 0.5, 0.3], 0, "tri")
 
 
+def _heuristic_value(gamma, inst, s):
+    """gamma's lower bound on the expected cost to finish from s."""
+    k = inst.n - s.size
+    if k <= 0:
+        return 0.0
+    return float(s.q / (1.0 - inst.prob[s.v]) * gamma[s.v, k])
+
+
 def test_heuristic_table_hand_values():
-    gamma = build_heuristic_table(TRI).gamma
+    gamma = build_heuristic_table(TRI)
     assert gamma[:, 0] == pytest.approx([0.0, 0.0, 0.0])
     # one hop: (1-p(v)) * nearest edge
     assert gamma[0, 1] == pytest.approx(0.8)   # 0.8 * 1
@@ -54,7 +62,7 @@ def test_heuristic_table_equals_reference_formula():
     np.fill_diagonal(asym, 0.0)
     cases.append(Instance(asym, rng.uniform(0.0, 0.9, 9), 3))
     for inst in cases:
-        got = build_heuristic_table(inst).gamma
+        got = build_heuristic_table(inst)
         want = _reference_gamma(inst)
         assert got.shape == want.shape
         assert (got == want).all()
@@ -64,9 +72,9 @@ def test_heuristic_table_equals_reference_formula():
 def test_heuristic_value_at_root():
     table = build_heuristic_table(TRI)
     root = SearchState(v=0, g=0.0, q=0.8, visited=1, size=1)
-    assert heuristic_value(table, TRI, root) == pytest.approx(1.2)
+    assert _heuristic_value(table, TRI, root) == pytest.approx(1.2)
     goal = SearchState(v=2, g=1.6, q=0.28, visited=7, size=3)
-    assert heuristic_value(table, TRI, goal) == 0.0
+    assert _heuristic_value(table, TRI, goal) == 0.0
 
 
 def test_solve_worked_example():
@@ -157,10 +165,11 @@ def test_stats_invariants():
 def test_extraction_order_is_f_monotone():
     rng = np.random.default_rng(37)
     inst = random_instance(rng, 8)
-    table = build_heuristic_table(inst)
+    gamma = build_heuristic_table(inst)
     seen = []
     solve(inst, SolverConfig(time_limit=None),
-          on_expand=lambda s: seen.append(s.g + heuristic_value(table, inst, s)))
+          on_expand=lambda s: seen.append(
+              s.g + _heuristic_value(gamma, inst, s)))
     assert len(seen) >= 2
     for a, b in zip(seen, seen[1:]):
         assert b >= a - 1e-9
@@ -208,7 +217,7 @@ def test_dive_without_heuristic_is_nearest_neighbor():
         n = inst.n
         path, upper = solver_mod._dive(inst.cost.tolist(), [[0.0] * n] * n,
                                        (1.0 - inst.prob).tolist(), inst.start)
-        assert path == nearest_neighbor(inst)
+        assert path == _nearest_order(inst.cost.tolist(), inst.start)
         assert upper == pytest.approx(expected_cost_q(inst, path),
                                       rel=1e-12, abs=1e-12)
         res = solve(inst, SolverConfig(use_heuristic=False, time_limit=None))
@@ -456,7 +465,7 @@ def test_heuristic_admissible_against_exact_completion():
         states = []
         solve(inst, SolverConfig(time_limit=None), on_generate=states.append)
         for s in states:
-            h = heuristic_value(table, inst, s)
+            h = _heuristic_value(table, inst, s)
             hstar = s.q * finish(s.v, full & ~s.visited)
             assert h <= hstar + 1e-9 * max(1.0, hstar)
 
@@ -594,7 +603,7 @@ def test_path_bound_never_below_tree_root():
                 inst = _asymmetric(inst, rng)
             cost = inst.cost.tolist()
             omp = (1.0 - inst.prob).tolist()
-            hrows = build_heuristic_table(inst).gamma.T.tolist()
+            hrows = build_heuristic_table(inst).T.tolist()
             dive, _ = _dive(cost, hrows, omp, inst.start)
             rest = [int(u) for u in rng.permutation(n) if u != inst.start]
             root = _tree_root(inst)
@@ -716,8 +725,7 @@ def test_root_bound_reports_root_key():
     fires = make_instance(12, 1, 3, 0.1)
     small = make_instance(TREE_FLOOR - 1, 1, 3, 0.1)
     for inst in (fires, make_instance(12, 0, 3, 0.9), small):
-        gamma_root = build_heuristic_table(inst).gamma[inst.start,
-                                                       inst.n - 1]
+        gamma_root = build_heuristic_table(inst)[inst.start, inst.n - 1]
         res = solve(inst, SolverConfig(time_limit=None))
         tree_root = _tree_root(inst)
         assert (res.stats.trees > 0) == (inst.n >= TREE_FLOOR
@@ -733,7 +741,7 @@ def test_root_bound_reports_root_key():
     assert solve(fires, SolverConfig(time_limit=None)).stats.trees > 0
     # below the floor the tree root value beats gamma's, but gamma stays
     # alone
-    assert _tree_root(small) > build_heuristic_table(small).gamma[
+    assert _tree_root(small) > build_heuristic_table(small)[
         small.start, small.n - 1]
 
 
@@ -817,7 +825,7 @@ def test_reported_h_admissible_with_tree_bound():
             for s in generated:
                 hstar = s.q * finish(s.v, full & ~s.visited)
                 assert s.h <= hstar + 1e-12 * max(1.0, hstar)
-                above_gamma += s.h > heuristic_value(table, inst, s) + 1e-9
+                above_gamma += s.h > _heuristic_value(table, inst, s) + 1e-9
                 keys[(s.v, s.visited, s.g)] = s.h
             # on_expand reports the h of the key the state was queued with
             for s in expanded:
