@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import blind_hpp_solve, greedy_solve
-from .grid import (FREE, OCCUPIED, RAY_STEP, RAYS, SENSOR_RADIUS, UNKNOWN,
-                   OccupancyGrid, WorldModel, _json_number, extract_frontiers,
+from .grid import (FREE, OCCUPIED, RAY_STEP, RAYS, UNKNOWN, OccupancyGrid,
+                   WorldModel, _json_number, _known_keys, extract_frontiers,
                    grid_distances, reveal, shortest_path_cells, tree_path)
 from .instance import PROB_CLAMP, Instance, _integral
 from .lifelong import PLANNERS
@@ -46,6 +46,8 @@ BANDWIDTH = 8.0
 CONVERGE_TOL = 0.1
 MAX_ITER = 50
 MERGE_DIST = 4.0
+# sample_start draws a start within START_RADIUS cells of the world's own
+START_RADIUS = 8.0
 
 
 @dataclass(frozen=True)
@@ -90,15 +92,19 @@ class PriorField:
     def from_config(cls, cfg: dict) -> "PriorField":
         """The prior of a world sidecar: an object whose "gaussians" is a
         list of objects with a "mean" and a "cov", and whose "weights" is
-        a list. Means, covariances and weights hold JSON numbers only."""
+        a list; no other key is read, so none is accepted. Means,
+        covariances and weights hold JSON numbers only."""
         if not isinstance(cfg, dict):
             raise ValueError(f"prior must be an object, got {cfg!r}")
+        _known_keys(cfg, ("gaussians", "weights"), "prior")
         gaussians = cfg.get("gaussians", [])
         if not isinstance(gaussians, list) or not all(
                 isinstance(g, dict) and "mean" in g and "cov" in g
                 for g in gaussians):
             raise ValueError("prior gaussians must be a list of objects "
                              f"with a mean and a cov, got {gaussians!r}")
+        for g in gaussians:
+            _known_keys(g, ("mean", "cov"), "prior gaussian")
         weights = cfg.get("weights", list(PRIOR_WEIGHTS))
         if not isinstance(weights, list):
             raise ValueError(f"prior weights must be a list, got {weights!r}")
@@ -566,13 +572,12 @@ def run_exploration(world: WorldModel, prior: PriorField, planner: str,
     return ExploreLog(planner, seed, name or "world", status, t, steps)
 
 
-def forest_world(size: int = 100, n_trees: int = 90, seed: int = 0,
-                 resolution: float = 1.0,
-                 sensor_radius: float = SENSOR_RADIUS,
-                 target=None, robot=None) -> WorldModel:
-    """Random forest benchmark world: solid border walls, square tree
-    blobs, target and robot on free cells with a guaranteed free path
-    between them. Deterministic per seed."""
+def forest_world(size: int = 100, n_trees: int = 90,
+                 seed: int = 0) -> WorldModel:
+    """Random forest benchmark world at resolution 1: solid border walls,
+    square tree blobs, the robot at (size // 5, size // 5) and the target at
+    size - size // 5 in both coordinates, on free cells with a guaranteed
+    free path between them. Deterministic per seed."""
     for attempt in range(64):
         rng = np.random.default_rng((seed, attempt))
         labels = np.full((size, size), FREE, dtype=np.uint8)
@@ -583,12 +588,11 @@ def forest_world(size: int = 100, n_trees: int = 90, seed: int = 0,
             c = int(rng.integers(2, size - 3))
             s = int(rng.integers(1, 3))
             labels[r:r + s, c:c + s] = OCCUPIED
-        tgt = tuple(target) if target else (size - size // 5, size - size // 5)
-        rob = tuple(robot) if robot else (size // 5, size // 5)
+        tgt = (size - size // 5, size - size // 5)
+        rob = (size // 5, size // 5)
         labels[tgt] = FREE
         labels[rob] = FREE
-        world = WorldModel(OccupancyGrid(labels, resolution), tgt, rob,
-                           sensor_radius=sensor_radius)
+        world = WorldModel(OccupancyGrid(labels), tgt, rob)
         if shortest_path_cells(world.truth, rob, tgt):
             return world
     raise RuntimeError("could not generate a connected forest world")
@@ -599,12 +603,13 @@ def with_start(world: WorldModel, robot) -> WorldModel:
     return replace(world, robot=tuple(robot))
 
 
-def sample_start(world: WorldModel, seed: int, radius: float = 8.0) -> tuple:
-    """Seeded free cell near the world's nominal start, for trial jitter."""
+def sample_start(world: WorldModel, seed: int) -> tuple:
+    """Seeded free cell within START_RADIUS cells of the world's nominal
+    start, for trial jitter."""
     rng = np.random.default_rng((seed, 9251))
     free = np.argwhere(world.truth.labels == FREE)
     d = np.sqrt(((free - np.array(world.robot)[None, :]) ** 2).sum(axis=1))
-    near = free[d <= radius]
+    near = free[d <= START_RADIUS]
     if len(near) == 0:
         return tuple(world.robot)
     pick = near[int(rng.integers(len(near)))]

@@ -4,6 +4,9 @@ import numpy as np
 
 from .instance import Instance, euclidean_costs
 
+# generated points lie more than MIN_SEP apart
+MIN_SEP = 5.0
+
 
 class GenerationError(RuntimeError):
     pass
@@ -21,9 +24,9 @@ def derive_seed(*parts) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def generate_random(n: int, extent: float | None = None, min_sep: float = 5.0,
-                    seed: int = 0, max_tries: int | None = None) -> Instance:
-    """Uniform points on [0, extent]^2 with pairwise separation > min_sep.
+def generate_random(n: int, seed: int = 0) -> Instance:
+    """Uniform points on [0, default_extent(n)]^2 with pairwise separation
+    > MIN_SEP.
 
     Costs are exact Euclidean distances, probabilities are zero (see
     assign_probabilities), start is vertex 0. Identical arguments give a
@@ -31,13 +34,8 @@ def generate_random(n: int, extent: float | None = None, min_sep: float = 5.0,
     """
     if n < 1:
         raise GenerationError("need at least one vertex")
-    if extent is None:
-        extent = default_extent(n)
-    if extent <= 0:
-        raise GenerationError("extent must be positive")
-    if min_sep < 0:
-        raise GenerationError("min_sep must be nonnegative")
-    cap = max_tries if max_tries is not None else max(1000 * n, 10_000)
+    extent = default_extent(n)
+    cap = max(1000 * n, 10_000)
     rng = np.random.default_rng(seed)
     pts: list[np.ndarray] = []
     tries = 0
@@ -45,13 +43,13 @@ def generate_random(n: int, extent: float | None = None, min_sep: float = 5.0,
         tries += 1
         if tries > cap:
             raise GenerationError(
-                f"could not place {n} points with separation {min_sep} "
+                f"could not place {n} points with separation {MIN_SEP} "
                 f"in extent {extent} after {cap} draws")
         p = rng.uniform(0.0, extent, 2)
         ok = True
         for q in pts:
             d = p - q
-            if d[0] * d[0] + d[1] * d[1] <= min_sep * min_sep:
+            if d[0] * d[0] + d[1] * d[1] <= MIN_SEP * MIN_SEP:
                 ok = False
                 break
         if ok:
@@ -63,7 +61,7 @@ def generate_random(n: int, extent: float | None = None, min_sep: float = 5.0,
 
 
 def assign_probabilities(inst: Instance, seed: int, p_max: float = 0.9) -> Instance:
-    """New instance with probabilities drawn uniformly from [0, p_max]."""
+    """New instance with probabilities drawn uniformly from [0, p_max)."""
     if not (0.0 <= p_max < 1.0):
         raise ValueError(f"p_max must lie in [0, 1), got {p_max}")
     rng = np.random.default_rng(seed)

@@ -127,21 +127,21 @@ def world_to_text(world: WorldModel) -> str:
 
 
 def load_world(map_path, config_path=None):
-    """Load a world map plus its sidecar JSON config. The sidecar (default
-    <map>.json) holds resolution, sensor radius, the Gaussian prior list
-    and factor weights. The sensor sees a full circle, so a sidecar
-    heading, or a fov other than 2*pi, is rejected. Returns (WorldModel,
-    sidecar dict)."""
+    """Load a world map plus its sidecar JSON config. The sidecar holds
+    resolution, sensor_radius, fov and prior (the Gaussian prior list and
+    factor weights), and any other key is rejected. The sensor sees a full
+    circle, so a sidecar heading, or a fov other than 2*pi, is rejected.
+    Only the default sidecar, <map>.json, may be absent. Returns
+    (WorldModel, sidecar dict)."""
     with open(map_path) as fh:
         labels, target, robot = parse_world(fh.read())
-    if config_path is None:
-        config_path = str(map_path) + ".json"
     cfg = {}
     try:
-        with open(config_path) as fh:
+        with open(config_path or f"{map_path}.json") as fh:
             cfg = json.load(fh)
     except FileNotFoundError:
-        pass
+        if config_path is not None:
+            raise
     except json.JSONDecodeError as exc:
         raise WorldFormatError(f"bad sidecar config: {exc}") from None
     if not isinstance(cfg, dict):
@@ -154,6 +154,8 @@ def load_world(map_path, config_path=None):
         raise WorldFormatError(
             "sidecar heading and fov are not supported: the sensor sees a "
             "full circle (fov 2*pi)")
+    _known_keys(cfg, ("resolution", "sensor_radius", "fov", "prior"),
+                "sidecar")
     world = WorldModel(
         truth=OccupancyGrid(labels, _sidecar_number(cfg, "resolution", 1.0)),
         target=target,
@@ -170,6 +172,13 @@ def _json_number(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
+def _known_keys(obj: dict, keys, what: str):
+    """Reject the keys of a sidecar object that nothing reads."""
+    extra = sorted(set(obj) - set(keys))
+    if extra:
+        raise WorldFormatError(f"unknown {what} keys {extra}")
 
 
 def _sidecar_number(cfg: dict, key: str, default: float) -> float:

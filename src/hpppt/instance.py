@@ -39,8 +39,8 @@ class Instance:
     cost: (n, n) float64 matrix, zero diagonal, positive off-diagonal.
     prob: length-n vector of termination probabilities in [0, 1).
     start: index of the fixed first vertex.
-    coords: optional (n, 2) planar coordinates (metadata, kept when the
-        cost matrix was derived from them).
+    coords: optional (n, 2) finite planar coordinates (metadata, kept when
+        the cost matrix was derived from them).
     seed: optional generator seed recorded for provenance.
     """
 
@@ -81,6 +81,8 @@ class Instance:
             coords = np.array(coords, dtype=np.float64)
             if coords.shape != (n, 2):
                 raise InvalidInstanceError("coords must be (n, 2)")
+            if not np.isfinite(coords).all():
+                raise InvalidInstanceError("coords must be finite")
             coords.setflags(write=False)
         cost.setflags(write=False)
         prob.setflags(write=False)

@@ -107,7 +107,7 @@ moves that state into focal.
 The incumbent cut. Before the search, _dive walks from the start, always
 to the unvisited vertex u with the least c(v, u) + gamma[u, krem], ties to
 the smaller index, and returns that path and its expected cost U, an upper
-bound on the optimum C*. With pruning on, a child whose gamma key
+bound on the optimum C*. A child whose gamma key
 g + q * (c + gamma[u, krem]) or, where the search uses the tree bound,
 whose tree key g2 + q2 * tail exceeds
 
@@ -228,7 +228,6 @@ class InvalidConfigError(ValueError):
 class SolverConfig:
     epsilon: float = 0.0
     use_heuristic: bool = True
-    use_pruning: bool = True
     time_limit: float | None = DEFAULT_TIME_LIMIT
 
     def __post_init__(self):
@@ -542,8 +541,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     start = inst.start
     cost = inst.cost.tolist()
     omp_list = (1.0 - inst.prob).tolist()
-    use_pruning = cfg.use_pruning
-    use_superset = use_pruning and is_metric(inst)
+    use_superset = is_metric(inst)
     eps = cfg.epsilon
     use_focal = eps > 0.0
     f0 = 0.0
@@ -570,8 +568,8 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
             # different vertices share
             tails_of = {}
     # no child above the cut can change the search (module docstring)
-    cut = _cut(upper, eps, n) if use_pruning else float("inf")
-    tighten_at = TIGHTEN_AFTER if use_pruning else float("inf")
+    cut = _cut(upper, eps, n)
+    tighten_at = TIGHTEN_AFTER
 
     expansions = 0
     generations = 1
@@ -664,11 +662,10 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
             live[branch[sid]] -= 1
         v, q, mask, size, _ = states[sid]
 
-        if use_pruning:
-            bg = bestg.get(mask * n + v)
-            if bg is not None and bg[1] != sid:
-                pruned_extracted += 1
-                continue
+        bg = bestg.get(mask * n + v)
+        if bg is not None and bg[1] != sid:
+            pruned_extracted += 1
+            continue
         if use_superset:
             gb = bucket_g[v]
             mb = bucket_m[v]
@@ -733,16 +730,13 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
                 if ft > f2:
                     f2 = ft
             m2 = mask | lsb
-            if use_pruning:
-                key = m2 * n + u
-                hit = bestg.get(key)
-                if hit is not None and g2 >= hit[0] - TOL:
-                    pruned_generated += 1
-                    continue
-                sid2 = len(states)
-                bestg[key] = (g2, sid2)
-            else:
-                sid2 = len(states)
+            key = m2 * n + u
+            hit = bestg.get(key)
+            if hit is not None and g2 >= hit[0] - TOL:
+                pruned_generated += 1
+                continue
+            sid2 = len(states)
+            bestg[key] = (g2, sid2)
             states.append((u, q2, m2, size2, sid))
             # pathmax: never below the parent's f
             if use_tree and f2 < f:

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 
@@ -99,6 +100,19 @@ def test_solve_writes_out_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     rec = json.loads(dest.read_text())
     assert rec["status"] == "ok"
+
+
+def test_solve_rejects_a_coordinate_that_is_not_finite(tmp_path, capsys):
+    # one node, so no distance is computed from the coordinate
+    path = tmp_path / "one.tsp"
+    path.write_text("NAME: one\nTYPE: TSP\nDIMENSION: 1\n"
+                    "EDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
+                    "1 inf 0\nEOF\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: coords must be finite\n"
 
 
 def test_config_errors_exit_two(tmp_path, capsys):
@@ -427,6 +441,11 @@ EYE = [[1, 0], [0, 1]]
     ({"prior": {"weights": ["0.3", 0.2, 0.5]}}, "weights"),
     ({"prior": [1]}, "prior"),
     ([1], "sidecar"),
+    # keys that nothing reads, which would drop a setting without a word
+    ({"sensor_raduis": 3}, "'sensor_raduis'"),
+    ({"prior": {"weigths": [0, 0, 1]}}, "'weigths'"),
+    ({"prior": {"gaussians": [{"mean": [1, 1], "cov": EYE, "weight": 1}]}},
+     "'weight'"),
 ])
 def test_explore_rejects_a_malformed_sidecar(tmp_path, capsys, sidecar, key):
     path = _write_world(tmp_path)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hpppt.generate
 from hpppt import assign_probabilities, derive_seed, generate_random
 from hpppt.generate import default_extent
 from hpppt.instance import is_metric
@@ -34,15 +35,16 @@ def test_extent_switches_at_forty():
 
 
 def test_minimum_separation_holds():
-    inst = generate_random(30, seed=3, min_sep=5.0)
+    inst = generate_random(30, seed=3)
     off = inst.cost[~np.eye(30, dtype=bool)]
     assert off.min() >= 5.0
 
 
-def test_separation_failure_raises():
-    # 50 points with 5 m separation cannot fit in a 10x10 box
+def test_separation_failure_raises(monkeypatch):
+    # 50 points more than 5000 m apart cannot fit in a 5000 x 5000 box
+    monkeypatch.setattr(hpppt.generate, "MIN_SEP", 5000.0)
     with pytest.raises(RuntimeError):
-        generate_random(50, extent=10.0, seed=4)
+        generate_random(50, seed=4)
 
 
 def test_assign_probabilities_range_and_determinism():

@@ -304,6 +304,9 @@ def test_load_world_without_sidecar(tmp_path):
     world, cfg = load_world(path)
     assert world.sensor_radius == 10.0
     assert cfg == {}
+    # only the default <map>.json may be absent, not a sidecar named
+    with pytest.raises(FileNotFoundError):
+        load_world(path, tmp_path / "no-such.json")
 
 
 def test_load_world_sensor_is_full_circle(tmp_path):

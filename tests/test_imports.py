@@ -2,7 +2,9 @@
 solve, bench and lifelong missions included, imports and runs without
 loading it; a grid search loads it on first use. A bench grid with one
 job runs without loading the process pool. hpppt.__all__ names each public
-name once, and `from hpppt import *` binds exactly those names."""
+name once, and `from hpppt import *` binds exactly those names. A
+setting that nothing in the package set is gone, so passing it raises
+TypeError."""
 
 import json
 import os
@@ -10,7 +12,10 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 import hpppt
+from hpppt.exploration import forest_world, sample_start
 
 CODE = textwrap.dedent("""
     import json, sys
@@ -66,3 +71,20 @@ def test_all_lists_each_public_name_once():
     exec("from hpppt import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(names)
+
+
+def test_settings_that_nothing_set_raise_type_error():
+    calls = [
+        lambda: hpppt.SolverConfig(use_pruning=False),
+        lambda: hpppt.generate_random(5, extent=10.0),
+        lambda: hpppt.generate_random(5, min_sep=1.0),
+        lambda: hpppt.generate_random(5, max_tries=10),
+        lambda: forest_world(resolution=0.5),
+        lambda: forest_world(sensor_radius=3.0),
+        lambda: forest_world(target=(5, 5)),
+        lambda: forest_world(robot=(5, 5)),
+        lambda: sample_start(None, 0, radius=3.0),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()

@@ -80,6 +80,12 @@ def test_validation_rejects_bad_matrices():
         Instance([[0, 1], [1, 0]], [0.1, 0.1], 2)
     with pytest.raises(InvalidInstanceError):
         Instance([[0, 1], [1, 0]], [0.1], 0)
+    # coords next to a valid cost matrix, where they would only be kept
+    with pytest.raises(InvalidInstanceError, match="coords must be finite"):
+        Instance([[0.0]], [0.0], 0, "x", [[np.inf, 0.0]])
+    with pytest.raises(InvalidInstanceError, match="coords must be finite"):
+        Instance([[0, 1], [1, 0]], [0.1, 0.1], 0, "x",
+                 [[0.0, 0.0], [np.nan, 1.0]])
 
 
 def test_start_must_be_an_integer():

@@ -137,16 +137,6 @@ def test_heuristic_off_same_cost_more_expansions():
         assert a.stats.expansions <= b.stats.expansions
 
 
-def test_pruning_off_same_cost():
-    rng = np.random.default_rng(29)
-    for _ in range(10):
-        inst = random_instance(rng, 7)
-        a = solve(inst, SolverConfig(time_limit=None))
-        b = solve(inst, SolverConfig(use_pruning=False, time_limit=None))
-        assert abs(a.cost - b.cost) <= 1e-9
-        assert b.stats.prunes == 0
-
-
 def test_stats_invariants():
     rng = np.random.default_rng(31)
     for _ in range(10):
@@ -229,8 +219,7 @@ def test_timeout_reports_status():
     rng = np.random.default_rng(43)
     inst = random_instance(rng, 18, p_max=0.05)
     for first_move in (False, True):
-        res = solve(inst, SolverConfig(use_heuristic=False, use_pruning=False,
-                                       time_limit=1e-9),
+        res = solve(inst, SolverConfig(use_heuristic=False, time_limit=1e-9),
                     first_move=first_move)
         assert res.status == "timeout"
         assert res.path is None and res.cost is None
