@@ -26,28 +26,27 @@ R - {u}. These weights fall with j, so by the rearrangement inequality no
 order of hops costs less than the hops sorted ascending, each times the
 weight of the same rank, and that sum is at least the sum of K_j
 P_j(R - {u}). The bound needs no triangle inequality. Every child of a
-state spans the same R, so each remaining set costs one Prim on lists,
-a sort of R and two prefix sums, after which each child's bound takes
-O(1), u's rank among the factors shifting the later weights to
-P_{j+1}(R) / (1 - p(u)) (_tree_tails); states at different vertices with
-the same remaining set share the result.
+state spans the same R, and states at different vertices with the same R
+share it, so each R costs one Kruskal (1956) and two prefix sums, after
+which each child's bound takes O(1), u's rank among the factors shifting
+the later weights to P_{j+1}(R) / (1 - p(u)) (_tree_tails). Kruskal scans
+the pairs, sorted by csym once per solve, for |R| - 1 edges inside R; they
+come out sorted, and every minimum spanning tree has the same (Gale).
 
 The root rule picks the bounds per solve, from the instance alone. A
 solve uses the tree bound iff n >= TREE_FLOOR and the tree's root value
 beats gamma's; the root key is then the tree root value, and a child's f
 is the larger of its gamma and tree bounds. Otherwise the search is
-exactly the gamma-only one. Most solves settle the rule without a Prim.
-The incumbent's path (below) is a Hamiltonian path from the start, so a
-spanning tree of all vertices: by Gale its sorted hop costs bound the
-sorted edges of a minimum spanning tree term by term, and csym <= cost.
-So the same weights times the sorted hops (_path_bound) are never below
-the tree root value, and where they do not beat gamma's root value,
-neither does the tree. Only a solve whose path bound beats gamma's
-computes the tree root value, once, and it both decides the rule and
-keys the root. The floor is measured. Full solves gain from the tree
-from about eight vertices on, but first-move replans, which stop after a
-few expansions, do not repay a tree per remaining set; of the floors
-tried (8, 10, 12 and 14), 12 made a round of lifelong replans fastest.
+exactly the gamma-only one. The incumbent's path (below) spans all
+vertices, so by Gale its sorted hop costs bound the sorted edges of a
+minimum spanning tree term by term, and csym <= cost: the same weights
+times the sorted hops (_path_bound) are never below the tree root value.
+So only a solve whose path bound beats gamma's root value computes the
+tree root value, once, which decides the rule and keys the root; most
+solves settle the rule without a tree. The floor is measured. Full
+solves gain from the tree from about eight vertices on, about 3x at 12,
+but first-move replans, which stop after a few expansions, do not repay
+a tree per remaining set, and lose less the higher the floor.
 
 The tree bound is consistent. At a state at v with remaining set S, a
 child u adds c(v, u) at the state's weight and spans S - {u} + {u} = S.
@@ -186,15 +185,12 @@ both modes. The bookkeeping runs once per extraction and once per
 expansion, outside the child loop, so a full search pays two flag tests
 per expansion.
 
-Children are scored on Python floats read from lists made once per solve:
-f2 = g + q * (c(v, u) + gamma[u, krem]) first, for the cut, then
-g2 = g + q * c(v, u) and q2 for children within it, and, where the root
-rule picked the tree bound, the tree key g2 + q2 * tail, for the cut and
-as f2 where it is larger; children that survive the duplicate check,
-keyed by the integer mask * n + v, are raised by pathmax. These are the
-same IEEE double operations in the same order as whole-row numpy
-arithmetic, and Python fuses no multiply-add, so every bit, and hence
-every search, is the same as with numpy rows.
+Children are scored on Python floats from lists made once per solve: the
+gamma key g + q * (c(v, u) + gamma[u, krem]) first, for the cut, then
+g2 = g + q * c(v, u), q2 and, with the tree bound, the tree key
+g2 + q2 * tail, for the cut and as the key where larger; the children the
+duplicate table (keyed mask * n + v) keeps are raised by pathmax. Python
+fuses no multiply-add, so every bit and search is as with numpy rows.
 """
 
 import heapq
@@ -305,34 +301,38 @@ def build_heuristic_table(inst: Instance) -> np.ndarray:
     return rows.T
 
 
-def _tree_tails(rem, csym, omp):
+def _tree_lists(inst, omp):
+    """The pairs (csym, pair mask, x, w) by csym = min(cost(x, w),
+    cost(w, x)) and the vertices by 1 - p, ties to the smaller index."""
+    csym = np.minimum(inst.cost, inst.cost.T).tolist()
+    pairs = sorted((row[w], 1 << x | 1 << w, x, w)
+                   for x, row in enumerate(csym) for w in range(x + 1, inst.n))
+    return pairs, sorted(range(inst.n), key=omp.__getitem__)
+
+
+def _tree_tails(rem, pairs, by_omp, omp):
     """Map every u in the bit set rem (at least two vertices) to the tree
     bound on the cost of visiting rem - {u} from u at unit survival weight
-    (module docstring). csym[x][w] is min(cost(x, w), cost(w, x))."""
-    members = []
-    r = rem
-    while r:
-        lsb = r & -r
-        r ^= lsb
-        members.append(lsb.bit_length() - 1)
-    # Prim on lists: dist[i] is the cheapest edge from the tree to left[i]
-    row = csym[members[0]]
-    left = members[1:]
-    dist = [row[w] for w in left]
+    (module docstring). pairs and by_omp are _tree_lists'."""
+    by_o = [u for u in by_omp if rem >> u & 1]
+    # Kruskal, on a union-find with path halving
+    parent = list(range(len(by_omp)))
     edges = []
-    while left:
-        d = min(dist)
-        i = dist.index(d)
-        edges.append(d)
-        row = csym[left.pop(i)]
-        del dist[i]
-        ends = map(row.__getitem__, left)
-        dist = [x if x <= y else y for x, y in zip(dist, ends)]
-    edges.sort()
+    need = len(by_o) - 1
+    for c, m, x, w in pairs:
+        if rem & m == m:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[w] != w:
+                parent[w] = w = parent[parent[w]]
+            if x != w:
+                parent[x] = w
+                edges.append(c)
+                if len(edges) == need:
+                    break
     # k the r - 1 tree edges ascending, o the factors 1 - p of rem
     # ascending, p[j] the product of the j smallest o; a[m] is the sum of
     # k[j] p[j] over j < m, and b[m] that of k[j] p[j + 1] over j >= m
-    by_o = sorted(members, key=omp.__getitem__)
     a = [0.0]
     prods = []
     acc = 0.0
@@ -342,7 +342,7 @@ def _tree_tails(rem, csym, omp):
         a.append(acc)
         p *= omp[u]
         prods.append(p)
-    b = [0.0] * len(members)
+    b = [0.0] * len(by_o)
     acc = 0.0
     for j in range(len(edges) - 1, -1, -1):
         acc += edges[j] * prods[j]
@@ -554,18 +554,17 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
         hrows = [[0.0] * n] * n
     full = (1 << n) - 1
     dive, upper = _dive(cost, hrows, omp_list, start)
-    # the root rule (module docstring): the path bound screens the Prim
+    # the root rule (module docstring): the path bound screens the tree
     use_tree = False
     if (cfg.use_heuristic and n >= TREE_FLOOR
             and _path_bound(dive, cost, omp_list) > f0):
-        csym = np.minimum(inst.cost, inst.cost.T).tolist()
-        tree_root = omp_list[start] * _tree_tails(full, csym,
+        pairs, by_omp = _tree_lists(inst, omp_list)
+        tree_root = omp_list[start] * _tree_tails(full, pairs, by_omp,
                                                   omp_list)[start]
         if tree_root > f0:
             use_tree = True
             f0 = tree_root
-            # the bounds depend on the remaining set only, which states at
-            # different vertices share
+            # tails per remaining set (module docstring)
             tails_of = {}
     # no child above the cut can change the search (module docstring)
     cut = _cut(upper, eps, n)
@@ -707,7 +706,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
         if tree:
             tails = tails_of.get(rem)
             if tails is None:
-                tails = _tree_tails(rem, csym, omp_list)
+                tails = _tree_tails(rem, pairs, by_omp, omp_list)
                 tails_of[rem] = tails
         while rem:
             lsb = rem & -rem

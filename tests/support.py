@@ -109,3 +109,54 @@ def completion_table(inst):
         return best
 
     return rec
+
+
+def prim_edges(csym, members):
+    """The edge costs of a minimum spanning tree on members, ascending, by
+    Prim on lists: dist[i] is the cheapest edge from the tree to left[i]."""
+    row = csym[members[0]]
+    left = members[1:]
+    dist = [row[w] for w in left]
+    edges = []
+    while left:
+        d = min(dist)
+        i = dist.index(d)
+        edges.append(d)
+        row = csym[left.pop(i)]
+        del dist[i]
+        ends = map(row.__getitem__, left)
+        dist = [x if x <= y else y for x, y in zip(dist, ends)]
+    edges.sort()
+    return edges
+
+
+def prim_tree_tails(rem, csym, omp):
+    """The solver's tree tails computed with one Prim per remaining set: a
+    reference for the bits of every tail. csym[x][w] is
+    min(cost(x, w), cost(w, x)) and rem holds at least two vertices."""
+    members = [u for u in range(rem.bit_length()) if rem >> u & 1]
+    edges = prim_edges(csym, members)
+    # k the tree edges ascending, o the factors 1 - p of rem ascending,
+    # p[j] the product of the j smallest o; a[m] is the sum of k[j] p[j]
+    # over j < m, and b[m] that of k[j] p[j + 1] over j >= m
+    by_o = sorted(members, key=omp.__getitem__)
+    a = [0.0]
+    prods = []
+    acc = 0.0
+    p = 1.0
+    for k, u in zip(edges, by_o):
+        acc += k * p
+        a.append(acc)
+        p *= omp[u]
+        prods.append(p)
+    b = [0.0] * len(members)
+    acc = 0.0
+    for j in range(len(edges) - 1, -1, -1):
+        acc += edges[j] * prods[j]
+        b[j] = acc
+    # leaving out u, of rank s in o, keeps p[j] up to j = s and turns the
+    # later ones into p[j + 1] / o[s]
+    tails = {u: a[s + 1] + b[s + 1] / omp[u]
+             for s, u in enumerate(by_o[:-1])}
+    tails[by_o[-1]] = a[-1]
+    return tails

@@ -10,8 +10,9 @@ from hpppt import solver as solver_mod
 from hpppt.baselines import _nearest_order
 from hpppt.bench import make_instance
 from hpppt.solver import (TREE_FLOOR, _dive, _has_superset, _local_search,
-                          _path_bound, _path_cost, _tree_tails)
-from support import brute_force_best, completion_table, random_instance
+                          _path_bound, _path_cost, _tree_lists, _tree_tails)
+from support import (brute_force_best, completion_table, prim_edges,
+                     prim_tree_tails, random_instance)
 
 TRI = Instance([[0, 1, 4], [1, 0, 2], [4, 2, 0]], [0.2, 0.5, 0.3], 0, "tri")
 
@@ -489,24 +490,10 @@ def _members(mask):
     return [u for u in range(mask.bit_length()) if mask >> u & 1]
 
 
-def _kruskal_edges(csym, members):
-    """The edge costs of a minimum spanning tree on members, ascending,
-    by Kruskal with a plain union-find."""
-    parent = {u: u for u in members}
-
-    def root(u):
-        while parent[u] != u:
-            u = parent[u]
-        return u
-
-    edges = []
-    for c, x, w in sorted((csym[x][w], x, w) for x in members
-                          for w in members if x < w):
-        rx, rw = root(x), root(w)
-        if rx != rw:
-            parent[rx] = rw
-            edges.append(c)
-    return edges
+def _tails(inst, rem):
+    """The solver's tree tails of the remaining set rem of inst."""
+    omp = (1.0 - inst.prob).tolist()
+    return _tree_tails(rem, *_tree_lists(inst, omp), omp)
 
 
 def _weights(omp, rest):
@@ -539,14 +526,66 @@ def test_tree_tails_match_direct_formula():
             members = _members(rem)
             if len(members) < 2:
                 continue
-            tails = _tree_tails(rem, csym, omp)
+            tails = _tails(inst, rem)
             assert sorted(tails) == members
-            edges = _kruskal_edges(csym, members)
+            edges = prim_edges(csym, members)
             assert len(edges) == len(members) - 1
             for u in members:
                 weights = _weights(omp, [w for w in members if w != u])
                 want = float(np.dot(edges, weights[:len(edges)]))
                 assert tails[u] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _tie_heavy(rng, n):
+    """Integer costs with many equal edges and probabilities with many equal
+    factors: Manhattan distances between distinct cells of a 7 x 7 grid, or
+    Euclidean distances over a 12 x 12 field rounded up."""
+    if rng.integers(2):
+        cells = rng.choice(49, n, replace=False)
+        pts = np.stack([cells // 7, cells % 7], axis=1)
+        cost = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    else:
+        pts = rng.uniform(0.0, 12.0, (n, 2))
+        cost = np.ceil(np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2)
+                               .sum(axis=2)))
+        # coincident points still get a positive cost
+        cost = np.maximum(cost, 1.0 - np.eye(n))
+    prob = rng.choice([0.0, 0.05, 0.1], n)
+    return Instance(cost.astype(float), prob, 0, f"ties-n{n}")
+
+
+def test_tree_tails_bit_identical_to_prim():
+    """Kruskal over the pairs sorted once per solve gives every remaining
+    set the same children, in the same order, with the same tail bits as a
+    Prim on that set: both trees have the same sorted edge weights. Random
+    remaining sets and the full set, n 2-40, on Euclidean, non-metric
+    symmetric, asymmetric and tie-heavy costs."""
+    rng = np.random.default_rng(151)
+    calls = 0
+    for kind in ("euclidean", "symmetric", "asymmetric", "ties"):
+        for n in range(2, 41):
+            if kind == "ties":
+                inst = _tie_heavy(rng, n)
+            else:
+                inst = random_instance(rng, n, p_max=float(rng.choice(
+                    [0.1, 0.5, 0.9])), euclidean=kind == "euclidean")
+            if kind == "asymmetric":
+                inst = _asymmetric(inst, rng)
+            csym = np.minimum(inst.cost, inst.cost.T).tolist()
+            omp = (1.0 - inst.prob).tolist()
+            pairs, by_omp = _tree_lists(inst, omp)
+            full = (1 << n) - 1
+            rems = [full] + [int(r) for r in rng.integers(0, full + 1, 8)]
+            for rem in rems:
+                if rem & (rem - 1) == 0:
+                    continue
+                got = _tree_tails(rem, pairs, by_omp, omp)
+                want = prim_tree_tails(rem, csym, omp)
+                assert list(got) == list(want)
+                assert ([t.hex() for t in got.values()]
+                        == [t.hex() for t in want.values()])
+                calls += 1
+    assert calls > 1000
 
 
 def test_tree_tails_admissible_against_exact_completion():
@@ -563,13 +602,11 @@ def test_tree_tails_admissible_against_exact_completion():
                                    euclidean=kind == "euclidean")
             if kind == "asymmetric":
                 inst = _asymmetric(inst, rng)
-            csym = np.minimum(inst.cost, inst.cost.T).tolist()
-            omp = (1.0 - inst.prob).tolist()
             finish = completion_table(inst)
             for rem in range(1, 1 << n):
                 if rem & (rem - 1) == 0:
                     continue
-                for u, tail in _tree_tails(rem, csym, omp).items():
+                for u, tail in _tails(inst, rem).items():
                     hstar = finish(u, rem & ~(1 << u))
                     assert tail <= hstar + 1e-12 * max(1.0, hstar)
                     pairs += 1
@@ -701,10 +738,8 @@ def test_pruned_superset_counts_superset_prunes(monkeypatch):
 
 def _tree_root(inst):
     """The tree bound at the start state."""
-    csym = np.minimum(inst.cost, inst.cost.T).tolist()
     omp = (1.0 - inst.prob).tolist()
-    tails = _tree_tails((1 << inst.n) - 1, csym, omp)
-    return omp[inst.start] * tails[inst.start]
+    return omp[inst.start] * _tails(inst, (1 << inst.n) - 1)[inst.start]
 
 
 def test_root_bound_reports_root_key():
