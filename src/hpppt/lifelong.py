@@ -174,10 +174,12 @@ def observe(truth: GroundTruth, v: int, sensor: SensorModel, rng) -> int:
 def plan_next(inst: Instance, beliefs, surviving, current: int,
               planner: str) -> int:
     """Next vertex to visit: solve a full visiting order over the surviving
-    vertices from the robot position and take its first move."""
+    vertices from the robot position and take its first move. With one
+    other survivor that move is the only one, which every planner and the
+    fallback return, so no planner runs."""
     others = sorted(v for v in surviving if v != current)
-    if not others:
-        return current
+    if len(others) < 2:
+        return others[0] if others else current
     verts = np.array([current] + others)
     # beliefs are never negative, so only the upper clamp can act
     sub_prob = np.minimum(np.asarray(beliefs)[verts], PROB_CLAMP)

@@ -96,12 +96,15 @@ ordered by f, and joins both when it moves. Whenever the best f strictly
 increases, the bound rises and the pending states now within it move.
 With gamma alone, which is consistent, or with pathmax, that floor never
 decreases, so focal membership is never invalidated. So the open heap
-holds the focal-admitted states, all within the bound, and pending the
-others, all above it: the best f, fmin, is the open heap's least live
-entry, or, when it holds none, the pending top. Focal never runs dry:
-in the first case that entry's state waits in the focal heap, and in the
-second the bound rises to (1 + epsilon) times the pending top, which
-moves that state into focal.
+holds the f of each focal-admitted state, all within the bound, and
+pending the others, all above it: the best f, fmin, is the least f of an
+admitted state not yet extracted, or, when none is left, the pending top.
+The open heap holds bare f values, and a table counts the f values of the
+extracted states: while the top's count is positive, the floor takes one
+off it and pops the top. Equal f values are interchangeable, so the top
+is then that least f. Focal never runs dry: in the first case a state
+of that f waits in the focal heap, and in the second the bound rises to
+(1 + epsilon) times the pending top, which moves that state into focal.
 
 The incumbent cut. Before the search, _dive walks from the start, always
 to the unvisited vertex u with the least c(v, u) + gamma[u, krem], ties to
@@ -167,7 +170,7 @@ out only the first move of each plan, so solve(..., first_move=True)
 returns just (start, u) and stops once u is settled. Each queued state
 belongs to a branch: the root child it descends from. A state is live
 from when it is queued until it is extracted, that is popped from the
-open heap in exact mode or closed in focal mode, also when it is then
+open heap in exact mode or the focal heap in focal mode, also when it is then
 pruned: a dominated child keeps its branch live until then. After each
 expansion, if the live states all lie in one branch, solve returns that
 branch's move. Up to that point the search is the full one, state for
@@ -195,6 +198,7 @@ fuses no multiply-add, so every bit and search is as with numpy rows.
 
 import heapq
 import time
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -505,12 +509,13 @@ def _path_bound(path, cost, omp):
     return omp[path[0]] * total
 
 
-def _path_to(states, sid):
-    """Vertices from the start to state sid, following parent ids."""
+def _path_to(keys, parents, n, sid):
+    """Vertices from the start to state sid, following parent ids; a
+    state's vertex is its duplicate key mask * n + v modulo n."""
     order = []
     while sid >= 0:
-        order.append(states[sid][0])
-        sid = states[sid][4]
+        order.append(keys[sid] % n)
+        sid = parents[sid]
     return tuple(reversed(order))
 
 
@@ -522,8 +527,10 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     epsilon = 0 returns an optimal path; epsilon > 0 returns one within
     (1 + epsilon) of optimal, usually much faster on large instances.
     on_generate/on_expand, when given, receive a SearchState for every
-    generated/expanded state, with the h of the key it was queued with
-    (instrumentation hooks, they slow the search).
+    queued/expanded state, with the h of the key it was queued with
+    (instrumentation hooks, they slow the search). Children that the
+    incumbent cut or the duplicate table drops count in generations but
+    never reach on_generate.
 
     first_move=True returns only (start, next vertex) of the path the full
     search would return, with cost None, and stops as soon as that move is
@@ -577,26 +584,33 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
     pruned_generated = 0
     pruned_bound = 0
 
-    # state store, indexed by state id: (v, q, mask, size, parent id); g
-    # travels in the heap entries
-    states = [(start, omp_list[start], 1 << start, 1, -1)]
-    # focal mode only: states already extracted, whose open-heap entries are
-    # stale; every state enters the open heap once, in focal mode when it
-    # enters the focal heap
-    closed = set()
+    # the state store, one entry per queued state in per-field lists
+    # indexed by state id: the duplicate key mask * n + v, g (the float of
+    # its heap entries), q and the parent's id; a state's size is n less
+    # the krem of its heap entry
+    keys = [(1 << start) * n + start]
+    gs = [0.0]
+    qs = array("d", [omp_list[start]])
+    parents = [-1]
 
     if on_generate:
-        on_generate(SearchState(start, 0.0, states[0][1], 1 << start, 1, f0))
+        on_generate(SearchState(start, 0.0, qs[0], 1 << start, 1, f0))
 
-    # open entries are (f, krem, g, sid): ties go to the deeper state
-    open_heap = [(f0, n - 1, 0.0, 0)]
-    # focal holds (krem, f, g, sid) for states within the bound; pending
-    # holds (f, sid, g) for the states generated above it
-    focal_heap = [(n - 1, f0, 0.0, 0)] if use_focal else []
-    pending = []
-    # best g seen per (vertex, visited-set), keyed mask * n + v, with the
-    # owning state id
-    bestg = {(1 << start) * n + start: (0.0, 0)}
+    if use_focal:
+        # open holds the bare f of each state admitted to focal, and done
+        # counts the f values of the extracted ones, whose entries are
+        # stale (module docstring); focal holds (krem, f, g, sid) for the
+        # states within the bound, and pending (f, sid) for those above it
+        open_heap = [f0]
+        done = {}
+        focal_heap = [(n - 1, f0, 0.0, 0)]
+        pending = []
+    else:
+        # open entries are (f, krem, g, sid): ties go to the deeper state
+        open_heap = [(f0, n - 1, 0.0, 0)]
+    # the id of the state that holds the best g seen per (vertex,
+    # visited-set), keyed mask * n + v
+    bestg = {keys[0]: 0}
     # bucket_g[v][k] / bucket_m[v][k]: g and mask of the expanded states at
     # v whose visited set has k vertices, sorted by g; each list of buckets
     # grows to the largest k expanded at v, with None for a k not yet seen
@@ -634,37 +648,40 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
                 cut = _cut(upper, eps, n)
 
         if use_focal:
-            while open_heap and open_heap[0][3] in closed:
-                heappop(open_heap)
+            # equal f values are interchangeable, so an extracted state's
+            # count may retire any entry of its f
+            while open_heap and done.get(open_heap[0]):
+                done[heappop(open_heap)] -= 1
             # open-heap states lie within the bound and pending ones above it
-            fmin = open_heap[0][0] if open_heap else pending[0][0]
+            fmin = open_heap[0] if open_heap else pending[0][0]
             if fmin > last_fmin:
                 last_fmin = fmin
                 bound = (1.0 + eps) * fmin
-                # no pending state is closed: states leave the queue only
-                # from within the bound, which pending states are not
+                # no pending state is extracted: states leave the queue
+                # only from within the bound, which pending states are not
                 while pending and pending[0][0] <= bound:
-                    f2, sid2, g2 = heappop(pending)
-                    krem2 = n - states[sid2][3]
-                    heappush(focal_heap, (krem2, f2, g2, sid2))
-                    heappush(open_heap, (f2, krem2, g2, sid2))
+                    f2, sid2 = heappop(pending)
+                    krem2 = n - (keys[sid2] // n).bit_count()
+                    heappush(focal_heap, (krem2, f2, gs[sid2], sid2))
+                    heappush(open_heap, f2)
             # the least f is within the bound, so a live entry waits in
             # focal (see the module docstring); a state enters focal once
-            # and is closed only when popped from it, so no entry is stale
-            _, f, g, sid = heappop(focal_heap)
-            closed.add(sid)
+            # and leaves it only when extracted, so no entry is stale
+            krem, f, g, sid = heappop(focal_heap)
+            done[f] = done.get(f, 0) + 1
         else:
-            f, _, g, sid = heappop(open_heap)
+            f, krem, g, sid = heappop(open_heap)
 
         live_open -= 1
         if first_move:
             live[branch[sid]] -= 1
-        v, q, mask, size, _ = states[sid]
-
-        bg = bestg.get(mask * n + v)
-        if bg is not None and bg[1] != sid:
+        key = keys[sid]
+        if bestg[key] != sid:
             pruned_extracted += 1
             continue
+        mask, v = divmod(key, n)
+        size = n - krem
+        q = qs[sid]
         if use_superset:
             gb = bucket_g[v]
             mb = bucket_m[v]
@@ -691,7 +708,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
             on_expand(SearchState(v, g, q, mask, size, f - g))
 
         if mask == full:
-            status, path, best = "ok", _path_to(states, sid), g
+            status, path, best = "ok", _path_to(keys, parents, n, sid), g
             break
 
         # children: f2 = g + q * (c + h) and g2 = g + q * c, the same IEEE
@@ -731,12 +748,15 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
             m2 = mask | lsb
             key = m2 * n + u
             hit = bestg.get(key)
-            if hit is not None and g2 >= hit[0] - TOL:
+            if hit is not None and g2 >= gs[hit] - TOL:
                 pruned_generated += 1
                 continue
-            sid2 = len(states)
-            bestg[key] = (g2, sid2)
-            states.append((u, q2, m2, size2, sid))
+            sid2 = len(keys)
+            bestg[key] = sid2
+            keys.append(key)
+            gs.append(g2)
+            qs.append(q2)
+            parents.append(sid)
             # pathmax: never below the parent's f
             if use_tree and f2 < f:
                 f2 = f
@@ -746,21 +766,21 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, *,
             if not use_focal:
                 heappush(open_heap, (f2, krem, g2, sid2))
             elif f2 <= bound:
-                heappush(open_heap, (f2, krem, g2, sid2))
+                heappush(open_heap, f2)
                 heappush(focal_heap, (krem, f2, g2, sid2))
             else:
-                heappush(pending, (f2, sid2, g2))
+                heappush(pending, (f2, sid2))
         if live_open > peak_open:
             peak_open = live_open
         if first_move:
             # children join their parent's branch; the root's each open one
             if sid:
                 br = branch[sid]
-                new = len(states) - len(branch)
+                new = len(keys) - len(branch)
                 live[br] += new
                 branch.extend([br] * new)
             else:
-                branch.extend(st[0] for st in states[1:])
+                branch.extend(key % n for key in keys[1:])
                 for u in branch[1:]:
                     live[u] = 1
             if live.count(0) == n - 1:

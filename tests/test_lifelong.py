@@ -175,6 +175,23 @@ def test_plan_next_skips_retired_vertices():
     assert nxt == 2
 
 
+def test_plan_next_runs_no_planner_for_one_other_survivor(monkeypatch):
+    """With one other survivor the only move is to it: every planner and
+    the fallback return it (test_plan_next_matches_rebuilt_instance_reference
+    covers such sets), so plan_next calls none of them."""
+    def unused(*args, **kwargs):
+        raise AssertionError("planner called")
+
+    for name in ("solve", "greedy_solve", "blind_hpp_solve"):
+        monkeypatch.setattr(hpppt.lifelong, name, unused)
+    inst = _mission_instance(4, seed=19)
+    beliefs = [0.5, 0.9, 0.5, 0.1]
+    for planner in ("rpt", "greedy", "blind"):
+        assert plan_next(inst, beliefs, {2}, 0, planner) == 2
+        assert plan_next(inst, beliefs, {0, 3}, 0, planner) == 3
+        assert plan_next(inst, beliefs, {0, 1}, 1, planner) == 0
+
+
 def test_plan_next_falls_back_to_nearest_survivor(monkeypatch):
     """A replan that does not return ok moves to the cheapest survivor,
     the smaller index on ties; rpt replans run without a time limit and
@@ -272,8 +289,9 @@ def test_missions_match_recorded_digest():
 
 def test_blind_replans_once_per_position_and_surviving_set(monkeypatch):
     """The blind tour reads only costs, so a mission solves it once per
-    (robot position, surviving set) and reuses the move; every move is
-    still the one an uncached plan_next returns."""
+    (robot position, surviving set) with at least two other survivors, and
+    reuses the move; every move is still the one an uncached plan_next
+    returns."""
     calls = [0]
 
     def counting(*args, **kwargs):
@@ -294,6 +312,6 @@ def test_blind_replans_once_per_position_and_surviving_set(monkeypatch):
         keys.add((step.vertex, frozenset(surviving)))
         assert plan_next(inst, step.beliefs, surviving, step.vertex,
                          "blind") == nxt.vertex
-    solved = sum(len(s - {v}) > 0 for v, s in keys)
+    solved = sum(len(s - {v}) > 1 for v, s in keys)
     assert calls[0] == solved
     assert solved < len(log.steps) - 1

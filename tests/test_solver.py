@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,50 @@ def test_focal_respects_bound():
             sub = solve(inst, SolverConfig(epsilon=eps, time_limit=None))
             assert sub.status == "ok"
             assert sub.cost <= (1.0 + eps) * opt.cost + 1e-9
+
+
+def test_focal_floor_matches_brute_force_queue():
+    """Every focal extraction obeys the rule read off a brute-force queue:
+    its f is within (1 + eps) of the least f queued, and no queued state
+    within that bound has fewer unvisited vertices. The queue is rebuilt
+    from the hooks, a generated state displacing the one queued at its
+    (vertex, visited-set); on asymmetric integer costs, which break the
+    triangle inequality, superset dominance is off, so the hooks see every
+    state that leaves the queue. The costs and the termination
+    probabilities take few values, which makes f values tie often."""
+    rng = np.random.default_rng(3001)
+    expansions = tied = 0
+    for _ in range(12):
+        n = int(rng.integers(6, 13))
+        cost = rng.integers(1, 4, (n, n)).astype(float)
+        np.fill_diagonal(cost, 0.0)
+        inst = Instance(cost, rng.choice([0.0, 0.05, 0.1], n), 0)
+        assert not is_metric(inst)
+        for eps in (0.02, 0.1, 0.5):
+            for first in (False, True):
+                queue = {}
+
+                def generated(s):
+                    queue[s.visited * n + s.v] = s
+
+                def expanded(s):
+                    nonlocal expansions, tied
+                    fs = [t.f for t in queue.values()]
+                    bound = (1.0 + eps) * min(fs)
+                    assert s.f <= bound * (1.0 + 1e-12)
+                    krem = n - s.size
+                    assert all(n - t.size >= krem for t in queue.values()
+                               if t.f <= bound * (1.0 - 1e-12))
+                    expansions += 1
+                    tied += len(fs) - len(set(fs))
+                    del queue[s.visited * n + s.v]
+
+                res = solve(inst, SolverConfig(epsilon=eps, time_limit=None),
+                            on_generate=generated, on_expand=expanded,
+                            first_move=first)
+                assert res.status == "ok"
+    assert expansions > 1000
+    assert tied > 1000
 
 
 def test_heuristic_off_same_cost_more_expansions():
@@ -909,6 +954,29 @@ def test_hard_regime_queue_stays_small():
     assert repr(res.cost) == "887.120734855618"
     assert res.stats.expansions == 14232
     assert res.stats.peak_open < 60000
+
+
+def test_stored_state_memory_stays_small():
+    """The search keeps every state it queues. Focal eps 0.01 on
+    make_instance(30, 0, 7, 0.5) stores 2,865 states. Its tracemalloc peak
+    came to 328 B per stored state with a tuple per state, a tuple per
+    duplicate-table entry and (f, krem, g, sid) entries in the open heap,
+    and to 229 B with the per-field stores and the bare-f open heap."""
+    inst = make_instance(30, 0, 7, 0.5)
+    cfg = SolverConfig(epsilon=0.01, time_limit=None)
+    # a first solve leaves out what a process or an instance pays once
+    solve(inst, cfg)
+    tracemalloc.start()
+    try:
+        res = solve(inst, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    s = res.stats
+    stored = s.generations - s.pruned_generated - s.pruned_bound
+    assert res.status == "ok"
+    assert stored == 2865
+    assert peak / stored < 280
 
 
 # sha256 over every search below of (status, path, repr(cost), expansions,
